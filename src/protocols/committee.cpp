@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "obs/mem.hpp"
 
 namespace asyncdr::proto {
 
@@ -94,6 +95,27 @@ void CommitteePeer::process_votes(sim::PeerId from,
     const std::uint32_t count = value ? ++votes1_[bit] : ++votes0_[bit];
     if (count >= accept_threshold()) decide(bit, value);
   }
+}
+
+std::size_t CommitteePeer::memory_bytes() const {
+  using obs::modeled_alloc_bytes;
+  // vector<bool> stores its bits in 64-bit words.
+  const auto bit_bytes = [](const std::vector<bool>& v) -> std::uint64_t {
+    return (v.capacity() + 63) / 64 * 8;
+  };
+  std::uint64_t bytes = dr::Peer::memory_bytes();
+  if (assignment_ != nullptr) {
+    bytes += modeled_alloc_bytes(sizeof(CommitteeAssignment));
+  }
+  bytes += modeled_alloc_bytes(out_.memory_bytes());
+  bytes += modeled_alloc_bytes(bit_bytes(decided_));
+  bytes += modeled_alloc_bytes(votes0_.capacity() * sizeof(std::uint32_t));
+  bytes += modeled_alloc_bytes(votes1_.capacity() * sizeof(std::uint32_t));
+  bytes += modeled_alloc_bytes(voted_.capacity() * sizeof(std::vector<bool>));
+  if (!voted_.empty()) {
+    bytes += voted_.size() * modeled_alloc_bytes(bit_bytes(voted_.front()));
+  }
+  return static_cast<std::size_t>(bytes);
 }
 
 std::size_t CommitteePeer::accept_threshold() const {

@@ -71,6 +71,10 @@ class CommitteePeer final : public dr::Peer {
 
   void on_start() override;
   [[nodiscard]] std::string status() const override;
+  /// Output plus the per-bit vote books (decided_, votes0_/votes1_ and the
+  /// n x (2t+1) voted_ table), in closed form: every voted_ row has the
+  /// same c-bit capacity, so the table costs n identical row chunks.
+  [[nodiscard]] std::size_t memory_bytes() const override;
 
  protected:
   void on_message(sim::PeerId from, const sim::Payload& payload) override;

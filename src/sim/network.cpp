@@ -30,7 +30,7 @@ Network::Network(Engine& engine, std::size_t k, std::size_t message_size_bits)
       receivers_(k, nullptr),
       crashed_(k, false),
       revived_at_(k, -1.0),
-      sparse_links_(k, SenderLinks(LinkAlloc(&links_pool_))),
+      sender_links_(k, SenderLinks(LinkAlloc(&links_pool_))),
       sent_units_(k, 0),
       sent_payloads_(k, 0),
       last_send_at_(k, -1.0),
@@ -62,25 +62,6 @@ Network::~Network() {
   }
 }
 
-void Network::set_link_mode(LinkMode mode) {
-  ASYNCDR_EXPECTS_MSG(next_message_id_ == 0 && total_in_flight_ == 0,
-                      "link mode must be chosen before any traffic");
-  if (mode == mode_) return;
-  mode_ = mode;
-  if (mode == LinkMode::kDense) {
-    sparse_links_.clear();
-    sparse_links_.shrink_to_fit();
-    dense_links_.assign(k_ * k_, Link{});
-  } else {
-    dense_links_.clear();
-    dense_links_.shrink_to_fit();
-    // Fill value carries the counting allocator — a plain resize would
-    // default-construct exception maps with a null pool slot.
-    sparse_links_.resize(k_, SenderLinks(LinkAlloc(&links_pool_)));
-  }
-  settle_links_base();
-}
-
 void Network::set_mem_pools(obs::MemPool* links, obs::MemPool* fanout,
                             obs::MemPool* payloads) {
   links_pool_ = links;
@@ -94,8 +75,7 @@ void Network::set_mem_pools(obs::MemPool* links, obs::MemPool* fanout,
 
 void Network::settle_links_base() {
   const std::uint64_t modeled =
-      obs::modeled_alloc_bytes(dense_links_.capacity() * sizeof(Link)) +
-      obs::modeled_alloc_bytes(sparse_links_.capacity() * sizeof(SenderLinks));
+      obs::modeled_alloc_bytes(sender_links_.capacity() * sizeof(SenderLinks));
   obs::settle_component(links_pool_, links_base_recorded_, modeled);
 }
 
@@ -181,7 +161,7 @@ void Network::deliver_bucket(PeerId from, const PayloadPtr& payload,
 
   // Settle link state before any receiver runs: deliveries below may send
   // new traffic, and reservations must already reflect these arrivals.
-  SenderLinks& sl = sparse_links_[from];
+  SenderLinks& sl = sender_links_[from];
   std::uint64_t shared_members = 0;
   if (sl.exceptions.empty()) {
     shared_members = copies;  // every member is in the shared class
@@ -229,8 +209,8 @@ void Network::deliver_bucket(PeerId from, const PayloadPtr& payload,
 
   // Deliveries in span order = recipient-ID order within the bucket.
   // Crash state is re-checked per entry at delivery time (an earlier
-  // entry's receiver may crash a later entry's), matching the per-event
-  // dense path.
+  // entry's receiver may crash a later entry's), exactly as if each copy
+  // were its own event.
   Message msg{from, kNoPeer, payload, sent_at, 0};
   for (const FanoutSpan& s : spans) {
     for (std::uint64_t j = 0; j < s.count; ++j) {
@@ -276,18 +256,6 @@ void Network::send(PeerId from, PeerId to, PayloadPtr payload) {
 void Network::broadcast(PeerId from, PayloadPtr payload) {
   ASYNCDR_EXPECTS(from < k_);
   ASYNCDR_EXPECTS(payload != nullptr);
-  if (mode_ == LinkMode::kDense) {
-    // Legacy fan-out: one send (and one scheduled event per copy) per
-    // recipient — the A/B reference path. Each send interns, so the
-    // payload pool sees the same bytes as the sparse path.
-    for (PeerId to = 0; to < k_; ++to) {
-      if (to == from) continue;
-      if (crashed_[from]) return;  // died mid-broadcast
-      send(from, to, payload);
-    }
-    return;
-  }
-
   if (crashed_[from]) return;
   payload = bank_.intern(std::move(payload));
   const Time sent_at = engine_.now();
@@ -295,17 +263,17 @@ void Network::broadcast(PeerId from, PayloadPtr payload) {
 
   // Bucket the fan-out by arrival time: recipients (and stressor copies)
   // landing at the same instant share ONE scheduled event that delivers to
-  // each in turn. Per-recipient semantics are unchanged — the pre-send
-  // hook, accounting, link reservation, and stressor sampling all run per
-  // recipient in increasing ID order, exactly as the dense fan-out does —
-  // so traces are byte-identical; only the engine's event count shrinks.
+  // each in turn. Per-recipient semantics are those of k-1 individual
+  // sends — the pre-send hook, accounting, link reservation, and stressor
+  // sampling all run per recipient in increasing ID order — so only the
+  // engine's event count shrinks.
   //
   // Fast path (no hook, no stressor): every non-exception link shares an
   // identical reservation history, so the whole wave departs at one
   // precomputed instant and the shared Link advances ONCE after the loop —
   // O(1) link state for a k-wide broadcast. A hook or stressor makes
   // per-recipient outcomes diverge, so that path reserves each link
-  // individually (materializing exceptions), exactly like the dense mode.
+  // individually (materializing exceptions), exactly like send().
   std::map<Time, SpanList> buckets;
   const auto append_span = [](SpanList& spans, PeerId to, std::uint64_t id) {
     if (!spans.empty()) {
@@ -318,7 +286,7 @@ void Network::broadcast(PeerId from, PayloadPtr payload) {
     spans.push_back(FanoutSpan{to, id, 1});
   };
 
-  SenderLinks& sl = sparse_links_[from];
+  SenderLinks& sl = sender_links_[from];
   const bool fast = !pre_send_hook_ && stressor_ == nullptr;
   const Time shared_departure = std::max(sent_at, sl.shared.next_free);
   bool any_shared = false;
@@ -415,17 +383,11 @@ void Network::revive(PeerId id) {
   // dead peer did get out still settle normally at arrival — and incoming
   // links are untouched too (their senders really transmitted; the revive
   // gate in finish_delivery is what keeps stale mail out).
-  if (mode_ == LinkMode::kDense) {
-    for (PeerId to = 0; to < k_; ++to) {
-      dense_links_[id * k_ + to].next_free = 0;
-    }
-  } else {
-    SenderLinks& sl = sparse_links_[id];
-    sl.shared.next_free = 0;
-    // asyncdr-sema: allow(SA002) unordered visit writes the same constant
-    //   into independent per-link fields; no output depends on the order.
-    for (auto& [to, l] : sl.exceptions) l.next_free = 0;
-  }
+  SenderLinks& sl = sender_links_[id];
+  sl.shared.next_free = 0;
+  // asyncdr-sema: allow(SA002) unordered visit writes the same constant
+  //   into independent per-link fields; no output depends on the order.
+  for (auto& [to, l] : sl.exceptions) l.next_free = 0;
 }
 
 bool Network::is_crashed(PeerId id) const {
@@ -450,8 +412,7 @@ std::uint64_t Network::sent_payloads(PeerId id) const {
 
 std::uint64_t Network::in_flight(PeerId from, PeerId to) const {
   ASYNCDR_EXPECTS(from < k_ && to < k_);
-  if (mode_ == LinkMode::kDense) return dense_links_[from * k_ + to].in_flight;
-  const SenderLinks& sl = sparse_links_[from];
+  const SenderLinks& sl = sender_links_[from];
   const auto it = sl.exceptions.find(to);
   if (it != sl.exceptions.end()) return it->second.in_flight;
   // The shared class never includes the self link (broadcasts skip self).
@@ -459,14 +420,9 @@ std::uint64_t Network::in_flight(PeerId from, PeerId to) const {
 }
 
 std::size_t Network::active_links() const {
-  if (mode_ == LinkMode::kDense) {
-    return static_cast<std::size_t>(
-        std::count_if(dense_links_.begin(), dense_links_.end(),
-                      [](const Link& l) { return l.used; }));
-  }
   std::size_t total = 0;
   for (PeerId from = 0; from < k_; ++from) {
-    const SenderLinks& sl = sparse_links_[from];
+    const SenderLinks& sl = sender_links_[from];
     if (sl.shared.used) {
       // A used shared Link means every non-exception recipient link has
       // carried traffic, and exceptions split off WITH that history — so
@@ -483,17 +439,8 @@ std::size_t Network::active_links() const {
 
 std::vector<Network::BusyLink> Network::busy_links() const {
   std::vector<BusyLink> busy;
-  if (mode_ == LinkMode::kDense) {
-    for (PeerId from = 0; from < k_; ++from) {
-      for (PeerId to = 0; to < k_; ++to) {
-        const std::uint64_t inflight = dense_links_[from * k_ + to].in_flight;
-        if (inflight > 0) busy.push_back({from, to, inflight});
-      }
-    }
-    return busy;
-  }
   for (PeerId from = 0; from < k_; ++from) {
-    const SenderLinks& sl = sparse_links_[from];
+    const SenderLinks& sl = sender_links_[from];
     if (sl.shared.in_flight == 0 && sl.exceptions.empty()) continue;
     if (sl.shared.in_flight > 0) {
       // Part of the sender's link state is implicit in the shared Link:
@@ -518,7 +465,7 @@ std::vector<Network::BusyLink> Network::busy_links() const {
     }
   }
   // Collection order is unspecified per sender; sort for the deterministic
-  // (from, to) order the dense scan produces.
+  // (from, to) order.
   std::sort(busy.begin(), busy.end(), [](const BusyLink& a, const BusyLink& b) {
     return a.from != b.from ? a.from < b.from : a.to < b.to;
   });
@@ -536,8 +483,7 @@ Time Network::last_delivery_at(PeerId id) const {
 }
 
 Network::Link& Network::link(PeerId from, PeerId to) {
-  if (mode_ == LinkMode::kDense) return dense_links_[from * k_ + to];
-  SenderLinks& sl = sparse_links_[from];
+  SenderLinks& sl = sender_links_[from];
   // Individual access diverges the link from the broadcast class: seed the
   // exception with the shared snapshot (identical history up to now). The
   // self link never belonged to the class, so it starts fresh.

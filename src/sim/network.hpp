@@ -9,16 +9,16 @@
 // units serialize per link. This is what gives transfers of n bits their
 // n/B contribution to time complexity, matching the paper's accounting.
 //
-// Scaling (see DESIGN.md, "Scaling the substrate"): the sparse layout is a
+// Scaling (see DESIGN.md, "Scaling the substrate"): link state is a
 // flyweight — each sender keeps ONE shared Link representing every
 // recipient it has only ever broadcast to, plus an exception map for links
 // whose state diverged (unicast sends, partial bucket settles). A k-wide
 // broadcast then costs O(1) link state and one span-compressed scheduled
 // event per distinct arrival time, and its payload body is interned once
-// through the PayloadBank instead of per recipient. The legacy dense
-// layout (k*k link vector, one event per recipient) is kept behind
-// LinkMode::kDense purely as the A/B reference: both modes produce
-// byte-identical traces.
+// through the PayloadBank instead of per recipient. This is the only link
+// layout; the committed golden traces (tests/integration/
+// golden_traces.json, generated while a per-link k*k reference layout still
+// existed and agreed byte-for-byte) pin its observable behaviour.
 #pragma once
 
 #include <cstdint>
@@ -96,19 +96,6 @@ class DeliveryStressor {
 /// The clique network over k peers.
 class Network {
  public:
-  /// Link-state layout + broadcast fan-out strategy. Both modes are
-  /// observationally identical (byte-identical traces and reports on the
-  /// same inputs); they differ in memory and event count only.
-  enum class LinkMode {
-    /// Flyweight per-sender link state (one shared Link + exceptions),
-    /// span-bucketed broadcast fan-out. The default: memory O(k + diverged
-    /// links), one scheduled event per distinct broadcast arrival time.
-    kSparse,
-    /// Legacy k*k link vectors and one event per broadcast recipient. Kept
-    /// as the A/B equivalence reference and for dense-traffic experiments.
-    kDense,
-  };
-
   /// message_size_bits is the paper's B; payloads larger than B are
   /// accounted as multiple unit messages.
   Network(Engine& engine, std::size_t k, std::size_t message_size_bits);
@@ -123,11 +110,6 @@ class Network {
   [[nodiscard]] std::size_t size() const { return k_; }
   [[nodiscard]] std::size_t message_size_bits() const { return message_size_bits_; }
   Engine& engine() { return engine_; }
-
-  /// Switches the link-state layout. Must be called before any traffic
-  /// (the layouts do not migrate in-flight state).
-  void set_link_mode(LinkMode mode);
-  [[nodiscard]] LinkMode link_mode() const { return mode_; }
 
   /// Registers the receiver for a peer ID. Must be called for every peer
   /// before any traffic flows to it.
@@ -157,8 +139,8 @@ class Network {
 
   /// Sends payload from every peer except `from` itself, in increasing
   /// recipient-ID order (deterministic, so a mid-broadcast crash cuts a
-  /// well-defined prefix). In sparse mode recipients sharing an arrival
-  /// time are delivered by one bucketed event.
+  /// well-defined prefix). Recipients sharing an arrival time are
+  /// delivered by one bucketed event.
   void broadcast(PeerId from, PayloadPtr payload);
 
   /// Marks a peer crashed: it sends and receives nothing from now on.
@@ -194,9 +176,8 @@ class Network {
   [[nodiscard]] std::uint64_t in_flight(PeerId from, PeerId to) const;
   /// Sum of in_flight over all links. O(1): maintained, not recomputed.
   [[nodiscard]] std::uint64_t total_in_flight() const { return total_in_flight_; }
-  /// Directed links that have ever carried traffic — O(k^2) worth in the
-  /// dense layout; the flyweight layout counts a sender's whole broadcast
-  /// fan-out through one shared Link.
+  /// Directed links that have ever carried traffic. A sender's whole
+  /// broadcast fan-out counts (k-1 links) through its one shared Link.
   [[nodiscard]] std::size_t active_links() const;
   /// One busy directed link (messages still in flight).
   struct BusyLink {
@@ -204,7 +185,7 @@ class Network {
     PeerId to = kNoPeer;
     std::uint64_t in_flight = 0;
   };
-  /// All busy links in (from, to) order — deterministic in both link modes.
+  /// All busy links in (from, to) order.
   [[nodiscard]] std::vector<BusyLink> busy_links() const;
   /// Virtual time of the last accepted send by `id`; negative if none.
   [[nodiscard]] Time last_send_at(PeerId id) const;
@@ -216,12 +197,11 @@ class Network {
   [[nodiscard]] const PayloadBank& payload_bank() const { return bank_; }
 
   /// Wires the byte-accounting pools (all nullable):
-  ///  * links    — flyweight per-sender state / dense link vector
+  ///  * links    — flyweight per-sender state
   ///  * fanout   — transient broadcast-bucket span buffers
   ///  * payloads — distinct in-flight payload bodies (PayloadBank: interned
   ///               by content, refcounted once per body regardless of
-  ///               fan-out degree, so sparse and dense modes report
-  ///               identical payload bytes)
+  ///               fan-out degree)
   void set_mem_pools(obs::MemPool* links, obs::MemPool* fanout,
                      obs::MemPool* payloads);
 
@@ -277,8 +257,8 @@ class Network {
   bool pass_pre_send(const Message& msg);
   /// Send-side accounting + on_send (the message is now committed).
   void account_send(const Message& msg, std::size_t units);
-  /// Reserves link bandwidth and returns the copy-0 arrival time. In the
-  /// flyweight layout this materializes the link as an exception.
+  /// Reserves link bandwidth and returns the copy-0 arrival time. This
+  /// materializes the link as an exception.
   Time reserve_link(const Message& msg, std::size_t units);
   /// Unicast delivery event: settles the link + bank, then delivers.
   void deliver_or_drop(const Message& msg);
@@ -291,14 +271,13 @@ class Network {
   /// receiver handoff.
   void finish_delivery(const Message& msg);
 
-  /// Reconciles the base link-vector capacities (dense vector + flyweight
-  /// per-sender shell; the exception *nodes* go through LinkAlloc).
+  /// Reconciles the per-sender shell vector's capacity (the exception
+  /// *nodes* go through LinkAlloc).
   void settle_links_base();
 
   Engine& engine_;
   std::size_t k_;
   std::size_t message_size_bits_;
-  LinkMode mode_ = LinkMode::kSparse;
   // Mem accounting slots. Declared before the containers: the counting
   // allocators constructed in the init list capture &links_pool_.
   obs::MemPool* links_pool_ = nullptr;    ///< sim.network.links
@@ -312,10 +291,8 @@ class Network {
   /// Per peer: time of its latest revive(); negative if never revived.
   /// Copies sent strictly before this instant are dropped on arrival.
   std::vector<Time> revived_at_;
-  /// kDense: k*k directed links. Empty in sparse mode.
-  std::vector<Link> dense_links_;
-  /// kSparse: flyweight per-sender state. Empty in dense mode.
-  std::vector<SenderLinks> sparse_links_;
+  /// Flyweight per-sender link state, indexed by sender.
+  std::vector<SenderLinks> sender_links_;
   std::vector<std::uint64_t> sent_units_;
   std::vector<std::uint64_t> sent_payloads_;
   std::vector<Time> last_send_at_;

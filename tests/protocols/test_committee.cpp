@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/check.hpp"
 #include "harness.hpp"
+#include "obs/mem.hpp"
 #include "protocols/bounds.hpp"
 
 namespace asyncdr::proto {
@@ -116,6 +120,34 @@ TEST(Committee, StaggeredStarts) {
   s.start_times[0] = 10.0;
   s.start_times[5] = 4.0;
   expect_ok(s, "staggered starts");
+}
+
+// dr.peer.state must see the per-bit vote books, not just the output: every
+// honest peer holds an n x (2t+1) dedup table, two n-entry tallies and an
+// n-bit decided mask from its first vote on. The bound is modeled here from
+// the shape alone, independently of CommitteePeer::memory_bytes.
+TEST(Committee, PeerStateChargesVoteTables) {
+  Scenario s;
+  s.cfg = cfg(2048, 12, 0.25, 6);  // t = 3, c = 7
+  s.honest = make_committee();
+  s.byzantine = make_committee_liar(CommitteeLiarPeer::Mode::kFlipAll);
+  s.byz_ids = {0, 5, 11};
+  const dr::RunReport report = expect_ok(s, "vote-table accounting");
+
+  const std::uint64_t n = s.cfg.n;
+  const std::uint64_t c = 2 * s.cfg.max_faulty() + 1;
+  const auto words = [](std::uint64_t bits) { return (bits + 63) / 64 * 8; };
+  const std::uint64_t per_peer =
+      obs::modeled_alloc_bytes(n * sizeof(std::vector<bool>)) +  // voted_ rows
+      n * obs::modeled_alloc_bytes(words(c)) +                   // row bits
+      2 * obs::modeled_alloc_bytes(n * sizeof(std::uint32_t)) +  // tallies
+      obs::modeled_alloc_bytes(words(n));                        // decided_
+  const std::uint64_t honest = s.cfg.k - s.byz_ids.size();
+  std::uint64_t peak = 0;
+  for (const obs::MemPoolStats& pool : report.mem_pools) {
+    if (pool.name == "dr.peer.state") peak = pool.peak;
+  }
+  EXPECT_GE(peak, honest * per_peer);
 }
 
 TEST(Committee, BetaHalfRejected) {

@@ -200,8 +200,7 @@ TEST_F(Fixture, MidBroadcastHookCrashKeepsIdsConsecutive) {
   EXPECT_EQ(settled, obs.sent_ids);
 }
 
-TEST_F(Fixture, SparseBroadcastBucketsSameArrivalIntoOneEvent) {
-  ASSERT_EQ(net.link_mode(), Network::LinkMode::kSparse);
+TEST_F(Fixture, BroadcastBucketsSameArrivalIntoOneEvent) {
   net.set_latency_policy(std::make_unique<FixedLatency>(0.5));
   net.broadcast(0, std::make_shared<TestPayload>());
   // All three recipients share arrival time 0.5: one bucketed event.
@@ -211,24 +210,6 @@ TEST_F(Fixture, SparseBroadcastBucketsSameArrivalIntoOneEvent) {
   EXPECT_EQ(peers[2].received.size(), 1u);
   EXPECT_EQ(peers[3].received.size(), 1u);
   EXPECT_DOUBLE_EQ(engine.now(), 0.5);
-}
-
-TEST_F(Fixture, DenseModeSchedulesPerRecipient) {
-  net.set_link_mode(Network::LinkMode::kDense);
-  EXPECT_EQ(net.link_mode(), Network::LinkMode::kDense);
-  net.set_latency_policy(std::make_unique<FixedLatency>(0.5));
-  net.broadcast(0, std::make_shared<TestPayload>());
-  EXPECT_EQ(engine.pending(), 3u);  // legacy fan-out: one event per recipient
-  engine.run();
-  EXPECT_EQ(peers[1].received.size(), 1u);
-  EXPECT_EQ(peers[2].received.size(), 1u);
-  EXPECT_EQ(peers[3].received.size(), 1u);
-}
-
-TEST_F(Fixture, LinkModeSwitchRejectedAfterTraffic) {
-  net.send(0, 1, std::make_shared<TestPayload>());
-  EXPECT_THROW(net.set_link_mode(Network::LinkMode::kDense),
-               contract_violation);
 }
 
 TEST_F(Fixture, InFlightAccountingAndBusyLinks) {
@@ -256,19 +237,6 @@ TEST_F(Fixture, InFlightAccountingAndBusyLinks) {
   EXPECT_EQ(net.active_links(), 2u);
 }
 
-TEST_F(Fixture, DenseModeDiagnosticsMatchSparseSemantics) {
-  net.set_link_mode(Network::LinkMode::kDense);
-  net.send(0, 1, std::make_shared<TestPayload>());
-  net.send(2, 3, std::make_shared<TestPayload>());
-  EXPECT_EQ(net.in_flight(0, 1), 1u);
-  EXPECT_EQ(net.total_in_flight(), 2u);
-  EXPECT_EQ(net.active_links(), 2u);
-  const std::vector<Network::BusyLink> busy = net.busy_links();
-  ASSERT_EQ(busy.size(), 2u);
-  EXPECT_EQ(busy[0].from, 0u);
-  EXPECT_EQ(busy[1].from, 2u);
-}
-
 // ---- revive() semantics (regression: ghost reservations / stale inbox) ----
 
 // Regression: revive() used to clear only crashed_[id]. The dead
@@ -292,25 +260,10 @@ TEST_F(Fixture, RevivedSenderNotQueuedBehindGhostReservations) {
   EXPECT_EQ(net.total_in_flight(), 0u);
 }
 
-TEST_F(Fixture, DenseRevivedSenderNotQueuedBehindGhostReservations) {
-  net.set_link_mode(Network::LinkMode::kDense);
-  net.send(0, 1, std::make_shared<TestPayload>(640));
-  net.send(0, 1, std::make_shared<TestPayload>(640));
-  engine.schedule_at(0.5, [&] { net.crash(0); });
-  engine.schedule_at(2.0, [&] {
-    net.revive(0);
-    net.send(0, 1, std::make_shared<TestPayload>());
-  });
-  engine.run();
-  ASSERT_EQ(peers[1].received.size(), 3u);
-  EXPECT_DOUBLE_EQ(peers[1].received[0].sent_at, 2.0);
-}
-
 // The flyweight shared Link carries broadcast reservations; revive() must
 // clear it too, or a revived peer's first broadcast queues behind its dead
 // incarnation's fan-out.
-TEST_F(Fixture, SparseReviveClearsSharedBroadcastReservations) {
-  ASSERT_EQ(net.link_mode(), Network::LinkMode::kSparse);
+TEST_F(Fixture, ReviveClearsSharedBroadcastReservations) {
   net.broadcast(0, std::make_shared<TestPayload>(640));  // arrives t=10
   engine.schedule_at(0.5, [&] { net.crash(0); });
   engine.schedule_at(2.0, [&] {
