@@ -21,7 +21,7 @@
 // deterministic and gated tightly; mem_unattributed_frac is measured and
 // gated as an absolute bound.
 //
-// asyncdr-lint: allow(DR001) the bench measures the substrate's real
+// asyncdr-sema: allow(DR001) the bench measures the substrate's real
 // wall-clock cost; virtual time cannot observe it. Nothing in the measured
 // runs reads this clock.
 #include <chrono>
@@ -66,10 +66,10 @@ ScalePoint run_point(std::size_t k, std::uint64_t seed) {
     point.active_links =
         static_cast<double>(world.network().active_links());
   };
-  // asyncdr-lint: allow(DR001) timing the run from outside, see header.
+  // asyncdr-sema: allow(DR001) timing the run from outside, see header.
   const auto start = std::chrono::steady_clock::now();
   point.report = run_scenario(s);
-  // asyncdr-lint: allow(DR001) timing the run from outside, see header.
+  // asyncdr-sema: allow(DR001) timing the run from outside, see header.
   const auto stop = std::chrono::steady_clock::now();
   point.wall_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();

@@ -1,8 +1,8 @@
-// asyncdr-lint: disable-file(DR001) the event stream timestamps telemetry
+// asyncdr-sema: disable-file(DR001) the event stream timestamps telemetry
 // with real (monotonic) wall time by design; nothing inside a dr::World
 // reads it, and the deterministic campaign artifact (the summary JSON)
 // carries no wall-clock fields.
-// asyncdr-lint: disable-file(DR011) the JSONL stream is an observability
+// asyncdr-sema: disable-file(DR011) the JSONL stream is an observability
 // artifact written outside any world — the exact analogue of the bench/CLI
 // report writers the rule exempts, not model-state persistence.
 #include "campaign/events.hpp"
@@ -28,7 +28,7 @@ std::unique_ptr<EventStream> EventStream::open(const std::string& path) {
   std::unique_ptr<EventStream> stream(new EventStream());
   stream->impl_->out.open(path, std::ios::binary | std::ios::trunc);
   if (!stream->impl_->out) {
-    // asyncdr-lint: allow(DR004) operator-facing warning; the campaign
+    // asyncdr-sema: allow(DR004) operator-facing warning; the campaign
     // itself proceeds without the stream.
     std::fprintf(stderr, "warning: cannot open campaign event stream %s\n",
                  path.c_str());

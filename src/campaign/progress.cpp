@@ -1,7 +1,7 @@
-// asyncdr-lint: disable-file(DR001) throughput/ETA are wall-clock
+// asyncdr-sema: disable-file(DR001) throughput/ETA are wall-clock
 // quantities by definition; the progress line is operator telemetry and
 // never feeds back into any world or deterministic artifact.
-// asyncdr-lint: disable-file(DR004) rendering a stderr status line is this
+// asyncdr-sema: disable-file(DR004) rendering a stderr status line is this
 // file's whole job.
 #include "campaign/progress.hpp"
 

@@ -1,8 +1,8 @@
-// asyncdr-lint: disable-file(DR001) the campaign runner measures per-run
+// asyncdr-sema: disable-file(DR001) the campaign runner measures per-run
 // wall time and throughput — operator telemetry quarantined in the event
 // stream and the opt-in timing section. No world, protocol, or
 // deterministic summary field reads these clocks.
-// asyncdr-lint: disable-file(DR011) the summary JSON is an observability
+// asyncdr-sema: disable-file(DR011) the summary JSON is an observability
 // artifact written after every world has finished — the campaign-level
 // analogue of the bench/CLI report writers the rule exempts.
 #include "campaign/runner.hpp"
@@ -180,7 +180,7 @@ void Campaign::finish() {
     if (out) {
       out << summary_string();
     } else {
-      // asyncdr-lint: allow(DR004) operator-facing warning; the campaign
+      // asyncdr-sema: allow(DR004) operator-facing warning; the campaign
       // result is still available in-process.
       std::fprintf(stderr, "warning: cannot write campaign summary %s\n",
                    options_.telemetry.summary_path.c_str());

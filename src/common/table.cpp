@@ -43,7 +43,7 @@ std::string Table::render() const {
   return os.str();
 }
 
-// asyncdr-lint: allow(DR004) Table is a designated report renderer; print()
+// asyncdr-sema: allow(DR004) Table is a designated report renderer; print()
 // existing so front-ends don't each reimplement the flush.
 void Table::print() const { std::cout << render() << std::flush; }
 

@@ -14,7 +14,7 @@ namespace {
 /// VmHWM (peak resident set) from /proc/self/status, in bytes; 0 when
 /// the file or the field is unavailable (non-Linux).
 std::uint64_t read_vm_hwm_bytes() {
-  // asyncdr-lint: allow(DR011) reads the kernel's procfs, not simulation
+  // asyncdr-sema: allow(DR011) reads the kernel's procfs, not simulation
   //   persistence; RSS measurement cannot go through dr::Journal.
   std::ifstream status("/proc/self/status");
   if (!status.good()) return 0;
@@ -33,7 +33,7 @@ std::uint64_t read_vm_hwm_bytes() {
 /// bits and the peak counters; requires write permission on the proc
 /// file (refused in some containers/hardened kernels).
 bool reset_peak_rss() {
-  // asyncdr-lint: allow(DR011) procfs control knob, not simulation state.
+  // asyncdr-sema: allow(DR011) procfs control knob, not simulation state.
   std::ofstream f("/proc/self/clear_refs");
   if (!f.good()) return false;
   f << "5\n";

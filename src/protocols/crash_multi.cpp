@@ -40,13 +40,13 @@ const std::vector<BitVec>& owner_masks(std::size_t n, std::size_t k,
   // across a thread pool, so the shared cache takes a lock. Returned
   // references stay valid under later insertions (node-based map) and the
   // cached vectors are never mutated after construction.
-  // asyncdr-lint: allow(DR010) shared read-only mask cache across worlds;
+  // asyncdr-sema: allow(DR010) shared read-only mask cache across worlds;
   // lock protects construction only, never schedule-dependent state.
   static std::mutex cache_mutex;
   static std::map<std::tuple<std::size_t, std::size_t, std::size_t>,
                   std::vector<BitVec>>
       cache;
-  // asyncdr-lint: allow(DR010) see cache_mutex rationale above.
+  // asyncdr-sema: allow(DR010) see cache_mutex rationale above.
   std::scoped_lock lock(cache_mutex);
   auto [it, inserted] = cache.try_emplace(std::tuple{n, k, r});
   if (inserted) {

@@ -46,7 +46,7 @@ dr::RunReport run_attack_world(const dr::Config& cfg, const BitVec& x_prime,
                                const Coalitions& coalitions,
                                const PeerFactory& honest, sim::Time slow) {
   dr::World world(cfg, x_prime);
-  // asyncdr-lint: allow(DR003) Theorem 3.1/3.2 adversary: index recording and
+  // asyncdr-sema: allow(DR003) Theorem 3.1/3.2 adversary: index recording and
   // the per-peer overlay ARE the two-world construction; queries stay
   // accounted.
   world.source().enable_index_recording(true);
@@ -55,7 +55,7 @@ dr::RunReport run_attack_world(const dr::Config& cfg, const BitVec& x_prime,
   }
   for (sim::PeerId b : coalitions.corrupted) {
     world.mark_faulty(b);
-    // asyncdr-lint: allow(DR003) corrupted coalition runs honest code against
+    // asyncdr-sema: allow(DR003) corrupted coalition runs honest code against
     // the other world's input (still query-accounted).
     world.source().set_overlay(b, x_fake);
   }
@@ -80,7 +80,7 @@ DetAttackResult run_deterministic_majority_attack(const dr::Config& cfg,
   sim::Time probe_horizon = 0;
   {
     dr::World probe(cfg, x);
-    // asyncdr-lint: allow(DR003) probe execution records indices to find a
+    // asyncdr-sema: allow(DR003) probe execution records indices to find a
     // bit the victim never queried; accounting is untouched.
     probe.source().enable_index_recording(true);
     for (sim::PeerId id = 0; id < cfg.k; ++id) probe.set_peer(id, honest(cfg, id));

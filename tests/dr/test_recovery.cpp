@@ -80,7 +80,7 @@ TEST(Recovery, NoOverClaimAtAnyCrashPoint) {
     kill.restart_delay = 1.0;
     s.recovery.kills.push_back(kill);
     s.instrument = [](dr::World& w) {
-      // asyncdr-lint: allow(DR003) test harness checking query accounting
+      // asyncdr-sema: allow(DR003) test harness checking query accounting
       w.source().enable_index_recording(true);
     };
     bool checked = false;
@@ -204,7 +204,7 @@ TEST(Recovery, TruncatedJournalIsDetectedAndStaysSafe) {
   c.at = 1.1;
   s.recovery.corruptions.push_back(c);
   s.instrument = [](dr::World& w) {
-    // asyncdr-lint: allow(DR003) test harness checking query accounting
+    // asyncdr-sema: allow(DR003) test harness checking query accounting
     w.source().enable_index_recording(true);
   };
   s.post_run = [](dr::World& w, const dr::RunReport&) {

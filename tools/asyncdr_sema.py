@@ -1,28 +1,27 @@
 #!/usr/bin/env python3
-"""asyncdr semantic determinism analyzer.
+"""asyncdr static analyzer: model conformance and semantic determinism.
 
-Where tools/asyncdr_lint.py pattern-matches single lines, this tool reasons
-about *structure*: an interprocedural call graph rooted at the model's entry
-namespaces, the static types behind every range-for, the order of journal
-appends versus state mutation inside a function, and what campaign worker
-lambdas share. These are exactly the properties the repo's determinism
-contract (byte-identical traces and campaign summaries per seed) rests on,
-and exactly what a regex cannot see.
+The simulator's claims (a run is a pure function of (config, seed), every bit
+taken from the source is query-accounted, time is virtual) are properties the
+compiler cannot check. This tool encodes them as rules over the source tree,
+so a violation fails CI instead of silently invalidating every experiment
+downstream. Two rule families share one file model, one suppression grammar,
+one baseline and one SARIF run:
 
-Rules (see --list-rules for the full catalog):
-  SA001 purity-reachability   entry-reachable code must not touch wall-clock,
-                              ambient randomness, iostream state, or thread
-                              primitives (whole-program version of
-                              DR001/DR002/DR004/DR010)
-  SA002 ordered-iteration     no range-for/iterator loops over
-                              std::unordered_{map,set} unless provably
-                              order-insensitive or justified
-  SA003 wal-ordering          journal clients append to the WAL before
-                              mutating the recovered state it protects
-  SA004 cross-world-sharing   campaign/chaos worker code: no non-const
-                              statics, no default-[&] worker lambdas
+  DR001-DR012  line-level model conformance over src/, bench/, examples/:
+               wall-clock and randomness sources, source internals, console
+               I/O, header/include/namespace hygiene, raw throws, phase
+               accounting, threads, persistence, cross-world sharing
+  SA001-SA004  structure over src/: an interprocedural call graph rooted at
+               the model's entry namespaces (SA001 purity-reachability), the
+               static types behind every range-for (SA002 ordered-iteration),
+               journal appends versus state mutation (SA003 wal-ordering),
+               and what campaign worker code shares (SA004)
 
-Frontends:
+See --list-rules for the full catalog with rationales.
+
+Frontends (they differ only in how the SA rules see structure; the DR rules
+read the same stripped text under both):
   libclang   precise AST via clang.cindex over compile_commands.json
              (exit 77 when the bindings are unavailable, so ctest can SKIP)
   fallback   conservative pure-Python C++ indexer, no dependencies; less
@@ -31,49 +30,59 @@ Frontends:
   auto       libclang when importable, else fallback
 
 Usage:
-  asyncdr_sema.py [--root DIR] [--compile-db FILE] [--frontend F]
+  asyncdr_sema.py [--root DIR] [--compile-db FILE] [--frontend F] [paths...]
   asyncdr_sema.py --list-rules
-  asyncdr_sema.py --sarif out.sarif            write SARIF 2.1.0
-  asyncdr_sema.py --merge-sarif lint.sarif     append a run to lint's SARIF
+  asyncdr_sema.py --rules DR004,SA001           run a subset of the catalog
+  asyncdr_sema.py --sarif out.sarif             write SARIF 2.1.0
   asyncdr_sema.py --write-baseline | --prune-baseline | --no-baseline
+Paths restrict the reported findings; the analysis always covers the whole
+tree, so a cross-file rule (DR009, SA001) still sees every file it needs.
 
 Suppressions always carry a justification (reason-less markers do not
-suppress — the zero-findings gate requires every suppression to explain
+suppress: the zero-findings gate requires every suppression to explain
 itself):
-  // asyncdr-sema: allow(SA002) merge is commutative; shard order cannot
-  //   reach the summary bytes
-  // asyncdr-sema: disable-file(SA001) <reason>
-SA001 additionally honors the regex linter's allow/disable-file markers for
-the superseded rule of the same sink category (DR001 wall-clock, DR002
-randomness, DR004 iostream, DR010 threads): those sites were already triaged
-once, with the justification written next to the code.
+  // asyncdr-sema: allow(DR004) rendering is this function's whole job
+      ...on the offending line, or in the contiguous // block above it.
+  // asyncdr-sema: disable-file(SA002) <reason>
+      ...anywhere in the file, disables the rule for the whole file.
+An SA rule that re-finds a site a DR rule already triaged honors that DR
+rule's markers: SA001 the DR rule of the sink's category (DR001 wall-clock,
+DR002 randomness, DR004 iostream, DR010 threads), SA004 DR010 and DR012.
 
 Exit status: 0 clean, 1 new findings, 2 usage error, 77 libclang requested
 but unavailable.
 """
 
 import argparse
+import collections
 import hashlib
 import json
 import os
 import re
 import signal
 import sys
+import textwrap
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import asyncdr_baseline  # noqa: E402  (shared with asyncdr_lint.py)
-
-if hasattr(signal, "SIGPIPE"):
+if hasattr(signal, "SIGPIPE"):  # `asyncdr_sema.py | head` should not traceback
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 BASELINE_SCHEMA = "asyncdr-sema-baseline-v1"
 
+# Directories scanned relative to the repo root. tests/ is deliberately out of
+# scope: tests may poke internals (that is their job); the model only
+# constrains the simulator, its workloads, and its front-ends. The SA rules
+# analyse src/ alone; the DR rules each name their directories.
+SCAN_ROOTS = ("src", "bench", "examples")
+CXX_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc", ".hh")
+
 # Reasons are mandatory: allow()/disable-file() must be followed by text.
-SEMA_ALLOW_RE = re.compile(r"asyncdr-sema:\s*allow\(([A-Z0-9, ]+)\)\s*(\S.*)")
-SEMA_DISABLE_RE = re.compile(
+ALLOW_RE = re.compile(r"asyncdr-sema:\s*allow\(([A-Z0-9, ]+)\)\s*(\S.*)")
+DISABLE_RE = re.compile(
     r"asyncdr-sema:\s*disable-file\(([A-Z0-9, ]+)\)\s*(\S.*)")
-LINT_ALLOW_RE = re.compile(r"asyncdr-lint:\s*allow\(([A-Z0-9, ]+)\)")
-LINT_DISABLE_RE = re.compile(r"asyncdr-lint:\s*disable-file\(([A-Z0-9, ]+)\)")
+
+# SA004's static-data check generalizes these two DR rules, so it honors
+# their markers (SA001's counterparts are per sink category, in SINKS).
+SA004_SUPERSEDES = ("DR010", "DR012")
 
 # Entry namespaces: every function defined inside one of these is a root of
 # the reachability analysis. The paper's model constrains the simulator, the
@@ -82,39 +91,37 @@ LINT_DISABLE_RE = re.compile(r"asyncdr-lint:\s*disable-file\(([A-Z0-9, ]+)\)")
 ENTRY_NAMESPACES = (
     "asyncdr::sim::", "asyncdr::dr::", "asyncdr::proto::", "asyncdr::oracle::")
 
-# SA001 sink catalog: category -> (regex, superseded lint rule, message).
+# Forbidden calls by category, read by both the per-line DR rule and SA001.
+# `exempt` lists the files where the category is legitimate by architecture:
+# the Rng implementation owns entropy, the campaign substrate and the
+# thread-count resolver own parallelism.
+Sink = collections.namedtuple("Sink", "rule regex label exempt")
 SINKS = {
-    "wall-clock": (
+    "wall-clock": Sink(
+        "DR001",
         re.compile(
             r"std::chrono::(steady_clock|system_clock|high_resolution_clock)"
             r"|\b(gettimeofday|clock_gettime|localtime|gmtime)\s*\("
             r"|\btime\s*\(\s*(NULL|nullptr|0)?\s*\)"),
-        "DR001", "wall-clock time source"),
-    "randomness": (
+        "wall-clock time source", ("src/common/rng.",)),
+    "randomness": Sink(
+        "DR002",
         re.compile(
             r"\b(s?rand|drand48|arc4random)\s*\("
             r"|std::random_device|\brandom_device\b|\bmt19937\b"),
-        "DR002", "ambient randomness"),
-    "iostream": (
+        "ambient randomness", ("src/common/rng.",)),
+    "iostream": Sink(
+        "DR004",
         re.compile(
             r"std::(cout|cerr|cin)\b|\bprintf\s*\("
             r"|\bfprintf\s*\(\s*std(out|err)|\bputs\s*\("),
-        "DR004", "iostream/console state"),
-    "threads": (
+        "iostream/console state", ()),
+    "threads": Sink(
+        "DR010",
         re.compile(
             r"std::(jthread|thread|mutex|scoped_lock|lock_guard|unique_lock"
             r"|shared_mutex|condition_variable|atomic)\b|\bstd::async\b"),
-        "DR010", "threading primitive"),
-}
-
-# Files where a given sink category is legitimate by architecture, mirroring
-# the regex linter's exemptions: the Rng implementation owns entropy, the
-# campaign substrate and the thread-count resolver own parallelism.
-SINK_EXEMPT_PREFIXES = {
-    "wall-clock": ("src/common/rng.",),
-    "randomness": ("src/common/rng.",),
-    "iostream": (),
-    "threads": ("src/campaign/", "src/common/threads."),
+        "threading primitive", ("src/campaign/", "src/common/threads.")),
 }
 
 # SA003: mutating receiver methods on the containers/values this tree uses
@@ -141,82 +148,31 @@ SEQ_OF_UNORDERED_RE = re.compile(
 
 class Finding:
     def __init__(self, rule, path, line, message, snippet=""):
-        self.rule = rule
-        self.path = path
-        self.line = line
+        self.rule = rule  # rule id, e.g. "DR002"
+        self.path = path  # repo-relative, forward slashes
+        self.line = line  # 1-based
         self.message = message
         self.snippet = snippet
 
     def fingerprint(self):
+        """Stable identity for baselining: rule + file + content of the
+        offending line (not its number, which shifts with every edit)."""
         digest = hashlib.sha256(self.snippet.strip().encode()).hexdigest()[:16]
         return f"{self.rule}:{self.path}:{digest}"
 
     def render(self):
-        loc = f"{self.path}:{self.line}" if self.line else self.path
-        return f"{loc}: {self.rule}: {self.message}"
+        return f"{self.path}:{self.line}: {self.rule}: {self.message}"
 
 
 class Rule:
-    def __init__(self, rule_id, name, summary, rationale):
+    """One catalog entry. `check` is a callable(Program) -> [Finding]."""
+
+    def __init__(self, rule_id, name, summary, rationale, check):
         self.id = rule_id
         self.name = name
         self.summary = summary
         self.rationale = rationale
-
-
-RULES = [
-    Rule(
-        "SA001", "purity-reachability",
-        "No wall-clock, ambient randomness, iostream state, or thread "
-        "primitives reachable from sim::/dr::/proto::/oracle:: entry points.",
-        "The adversary controls scheduling and nothing else (PAPER.md "
-        "model): a run must be a pure function of (config, seed). The regex "
-        "rules DR001/DR002/DR004/DR010 check each line in isolation; this "
-        "rule walks the interprocedural call graph so a clock read buried "
-        "two helpers deep under dr::World::run is still caught. Sinks inside "
-        "the designated owners (src/common/rng.* for entropy, src/campaign/ "
-        "+ src/common/threads.* for parallelism) are not findings, and sites "
-        "the regex linter already allows with a written justification are "
-        "honored rather than re-triaged."),
-    Rule(
-        "SA002", "ordered-iteration",
-        "No range-for/iterator loops over std::unordered_{map,set} unless "
-        "provably order-insensitive or carrying a justification.",
-        "Hash-map iteration order is libstdc++-internal state: it varies "
-        "with insertion history, rehash points, and pointer values. One such "
-        "loop feeding a trace, report, or summary silently breaks the "
-        "byte-identical-traces contract the golden A/B suite and the "
-        "campaign thread-count-independence tests pin. The analyzer proves "
-        "a loop harmless only when every statement is a commutative scalar "
-        "accumulation (+=, ++) with no other calls; everything else needs a "
-        "sorted copy, a std::map, or an allow() with the argument written "
-        "down."),
-    Rule(
-        "SA003", "wal-ordering",
-        "Journal clients append to the write-ahead journal before mutating "
-        "recovered state on every path through a function.",
-        "Recovery replays the journal, nothing else (PR 6): bits a peer "
-        "mutated into its recovered state (the members its on_restart "
-        "rebuilds) without first appending them are silently re-queried — "
-        "or worse, double-counted — by the next incarnation, and the "
-        "warm-vs-cold Q accounting in BENCH_recovery.json stops meaning "
-        "anything. DR011 only fences ambient persistence; this rule checks "
-        "the append-before-mutate order inside each function of every class "
-        "that overrides on_restart."),
-    Rule(
-        "SA004", "cross-world-sharing",
-        "Campaign/chaos worker code: no non-const statics, no default-[&] "
-        "capture on worker lambdas.",
-        "The campaign determinism contract (same seed => byte-identical "
-        "summary at any thread count) holds because workers share only the "
-        "claim cursor and private collector shards. DR012 greps for shared "
-        "world *types*; this rule catches the general shapes: any mutable "
-        "static in src/campaign//src/chaos (one counter couples every run "
-        "through scheduling), and Job lambdas with a default by-reference "
-        "capture, which make the shared surface invisible — explicit "
-        "capture lists keep it auditable."),
-]
-RULES_BY_ID = {r.id: r for r in RULES}
+        self.check = check
 
 
 # --------------------------------------------------------------------------
@@ -231,36 +187,31 @@ class SourceFile:
             self.text = f.read()
         self.lines = self.text.splitlines()
         self.stripped = strip_comments_and_strings(self.text)
-        self.disabled = set()        # sema disable-file, with reasons
-        self.lint_disabled = set()   # lint disable-file (reasons optional)
-        for m in SEMA_DISABLE_RE.finditer(self.text):
-            self.disabled.update(
-                r.strip() for r in m.group(1).split(",") if r.strip())
-        for m in LINT_DISABLE_RE.finditer(self.text):
-            self.lint_disabled.update(
-                r.strip() for r in m.group(1).split(",") if r.strip())
+        self.code_lines = self.stripped.split("\n")
+        self.disabled = set()
+        for m in DISABLE_RE.finditer(self.text):
+            self.disabled.update(_rule_ids(m))
 
     def allowed_on_line(self, lineno):
-        """Rule ids (sema SAxxx and lint DRxxx) suppressed on `lineno`: a
-        marker on the line itself or in the contiguous // block above it.
-        Sema markers without a justification are ignored by construction of
-        SEMA_ALLOW_RE (the reason group is mandatory)."""
+        """Rule ids allowed on `lineno`: a marker on the line itself or in
+        the contiguous // block above it. Markers without a justification
+        are ignored by construction of ALLOW_RE (the reason is mandatory)."""
         allowed = set()
-
-        def collect(text):
-            for regex in (SEMA_ALLOW_RE, LINT_ALLOW_RE):
-                m = regex.search(text)
-                if m:
-                    allowed.update(
-                        r.strip() for r in m.group(1).split(",") if r.strip())
-
-        if 1 <= lineno <= len(self.lines):
-            collect(self.lines[lineno - 1])
-        cursor = lineno - 1
-        while cursor >= 1 and self.lines[cursor - 1].lstrip().startswith("//"):
-            collect(self.lines[cursor - 1])
+        cursor = lineno
+        while 1 <= cursor <= len(self.lines) and (
+                cursor == lineno
+                or self.lines[cursor - 1].lstrip().startswith("//")):
+            m = ALLOW_RE.search(self.lines[cursor - 1])
+            if m:
+                allowed.update(_rule_ids(m))
             cursor -= 1
         return allowed
+
+    def suppressed(self, lineno, *rules):
+        """True when any of `rules` is disabled for this file or allowed on
+        `lineno`; an SA rule passes the DR rules it supersedes too."""
+        return bool((self.disabled | self.allowed_on_line(lineno))
+                    .intersection(rules))
 
     def line_at(self, offset):
         return self.text.count("\n", 0, offset) + 1
@@ -269,6 +220,10 @@ class SourceFile:
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1]
         return self.relpath
+
+
+def _rule_ids(marker):
+    return {r.strip() for r in marker.group(1).split(",") if r.strip()}
 
 
 def strip_comments_and_strings(text):
@@ -413,13 +368,18 @@ class FuncIR:
 
 
 class Program:
-    def __init__(self):
-        self.files = {}                # relpath -> SourceFile
+    def __init__(self, root, files):
+        self.root = root
+        self.files = files             # relpath -> SourceFile, whole tree
         self.functions = []            # [FuncIR]
         self.statics = []              # (relpath, StaticIR)
         self.unordered_names = set()   # identifiers declared unordered
         self.unordered_elem_names = set()  # vector-of-unordered identifiers
-        self.frontend = "fallback"
+        # The SA rules' scope: the simulator library under src/.
+        self.model_files = {rel: src for rel, src in sorted(files.items())
+                            if rel.startswith("src/")}
+        for src in self.model_files.values():
+            _index_unordered_decls(src, self)
 
     def by_simple_name(self):
         index = {}
@@ -572,8 +532,8 @@ def _extract_calls(body, base_line, text_offset_to_line):
 
 def _extract_sinks(body, text_offset_to_line):
     sinks = []
-    for category, (regex, _dr, label) in SINKS.items():
-        for m in regex.finditer(body):
+    for category, sink in SINKS.items():
+        for m in sink.regex.finditer(body):
             sinks.append((category, m.group(0).strip(),
                           text_offset_to_line(m.start())))
     return sinks
@@ -777,14 +737,9 @@ def _extract_lambdas(src, body_start, body_end, text_offset_to_line):
     return lambdas
 
 
-def build_program_fallback(root, relpaths):
-    program = Program()
-    program.frontend = "fallback"
-    for rel in relpaths:
-        program.files[rel] = SourceFile(root, rel)
-    for src in program.files.values():
-        _index_unordered_decls(src, program)
-    for rel, src in sorted(program.files.items()):
+def build_program_fallback(root, files):
+    program = Program(root, files)
+    for rel, src in program.model_files.items():
         def line_of(off, _src=src):
             return _src.line_at(off)
         for qual, start, end in _parse_blocks(src):
@@ -829,18 +784,13 @@ def load_libclang():
     return cindex
 
 
-def build_program_libclang(root, relpaths, compile_db_path, warn):
+def build_program_libclang(root, files, compile_db_path, warn):
     """Parses every TU in the compile database with libclang and lowers the
     AST into the shared IR. Headers are attributed to their own relpath, so
     findings land where the code lives, exactly as in the fallback."""
     cindex = load_libclang()
     assert cindex is not None
-    program = Program()
-    program.frontend = "libclang"
-    for rel in relpaths:
-        program.files[rel] = SourceFile(root, rel)
-    for src in program.files.values():
-        _index_unordered_decls(src, program)
+    program = Program(root, files)
 
     with open(compile_db_path, encoding="utf-8") as f:
         entries = json.load(f)
@@ -856,7 +806,7 @@ def build_program_libclang(root, relpaths, compile_db_path, warn):
             return None
         path = os.path.normpath(os.path.join(root, str(loc.file)))
         rel = os.path.relpath(path, root).replace(os.sep, "/")
-        return rel if rel in program.files else None
+        return rel if rel in program.model_files else None
 
     def qualname(cursor):
         parts = []
@@ -957,7 +907,7 @@ def build_program_libclang(root, relpaths, compile_db_path, warn):
         path = os.path.normpath(os.path.join(entry["directory"],
                                              entry["file"]))
         rel = os.path.relpath(path, root).replace(os.sep, "/")
-        if rel not in program.files:
+        if rel not in program.model_files:
             continue
         args = [a for a in entry.get("command", "").split()[1:]
                 if a != entry["file"] and not a.endswith(".o")
@@ -986,7 +936,118 @@ def build_program_libclang(root, relpaths, compile_db_path, warn):
 
 
 # --------------------------------------------------------------------------
-# Rules
+# DR rules: line-level conformance over the stripped text
+# --------------------------------------------------------------------------
+
+def regex_rule(rule_id, regex, message, dirs=SCAN_ROOTS, exempt=()):
+    """Builds a checker that flags every match of `regex` on a
+    comment/string-stripped line of the files under `dirs`, skipping files
+    whose path starts with an `exempt` prefix."""
+    regex = re.compile(regex)
+    inside = tuple(d + "/" for d in dirs)
+
+    def check(program):
+        findings = []
+        for src in program.files.values():
+            if not src.relpath.startswith(inside) \
+                    or src.relpath.startswith(exempt):
+                continue
+            for lineno, code in enumerate(src.code_lines, start=1):
+                m = regex.search(code)
+                if m and not src.suppressed(lineno, rule_id):
+                    findings.append(Finding(
+                        rule_id, src.relpath, lineno,
+                        message.format(match=m.group(0).strip()),
+                        src.snippet(lineno)))
+        return findings
+
+    return check
+
+
+def sink_rule(category, message, dirs=SCAN_ROOTS):
+    """The per-line DR rule over one SINKS category."""
+    sink = SINKS[category]
+    return regex_rule(sink.rule, sink.regex, message, dirs, sink.exempt)
+
+
+def whole_file_rule(rule_id, applies, message):
+    """Flags, at line 1, every file for which `applies(src)` holds."""
+    def check(program):
+        return [Finding(rule_id, src.relpath, 1, message, src.relpath)
+                for src in program.files.values()
+                if applies(src) and not src.suppressed(1, rule_id)]
+    return check
+
+
+QUOTED_INCLUDE_RE = re.compile(r'#\s*include\s+"([^"]+)"')
+ANGLED_INCLUDE_RE = re.compile(r"#\s*include\s+<([^>]+)>")
+
+
+def check_include_hygiene(program):
+    findings = []
+
+    def flag(src, lineno, message):
+        if not src.suppressed(lineno, "DR006"):
+            findings.append(Finding("DR006", src.relpath, lineno, message,
+                                    src.snippet(lineno)))
+
+    def is_src_header(inc):
+        return os.path.isfile(os.path.join(program.root, "src", inc))
+
+    for src in program.files.values():
+        here = os.path.dirname(src.abspath)
+        for lineno, raw in enumerate(src.lines, start=1):
+            m = QUOTED_INCLUDE_RE.search(raw)
+            if m and ".." in m.group(1).split("/"):
+                flag(src, lineno, f'relative include "{m.group(1)}" escapes '
+                     "its directory; include from the src/ root instead")
+                continue
+            if m and not (is_src_header(m.group(1)) or os.path.isfile(
+                    os.path.join(here, m.group(1)))):
+                flag(src, lineno, f'quoted include "{m.group(1)}" resolves '
+                     "to no file under src/ or the including directory "
+                     "(system headers use <...>)")
+            m = ANGLED_INCLUDE_RE.search(raw)
+            if m and is_src_header(m.group(1)):
+                flag(src, lineno, f"project header <{m.group(1)}> included "
+                     'with angle brackets; use "..." for repo headers')
+    return findings
+
+
+def check_phase_coverage(program):
+    """Every honest protocol peer registered through a factory in
+    src/protocols/runner.cpp must open at least one accounting phase, or its
+    Q/T/M silently lands in the catch-all and the per-phase reconciliation
+    has a hole. Adversary peers (attacks*.cpp) are exempt: their costs are
+    the adversary's, which the paper's complexity measures do not count."""
+    findings = []
+    runner = program.files.get("src/protocols/runner.cpp")
+    if runner is None or "DR009" in runner.disabled:
+        return findings
+    classes = set(re.findall(r"std::make_unique<(\w+)>", runner.text))
+    impl_files = [src for src in program.files.values()
+                  if src.relpath.startswith("src/protocols/")
+                  and src.relpath.endswith(".cpp")
+                  and not src.relpath.startswith("src/protocols/attacks")]
+    for cls in sorted(classes):
+        for src in impl_files:
+            if not re.search(rf"\b{cls}::on_start\b", src.text) \
+                    or "begin_phase(" in src.text:
+                continue
+            lineno = next((i for i, line in enumerate(src.lines, start=1)
+                           if f"{cls}::on_start" in line), 1)
+            if src.suppressed(lineno, "DR009"):
+                continue
+            findings.append(Finding(
+                "DR009", src.relpath, lineno,
+                f"protocol peer {cls} is registered in runner.cpp but never "
+                "calls begin_phase(); its Q/T/M would bypass the per-phase "
+                "reconciliation", src.snippet(lineno)))
+    return findings
+
+
+# --------------------------------------------------------------------------
+# SA rules: structure over the IR
 # --------------------------------------------------------------------------
 
 def resolve_calls(program):
@@ -1047,13 +1108,10 @@ def check_sa001(program):
             continue
         src = program.files[fn.relpath]
         for category, token, line in fn.sinks:
-            if fn.relpath.startswith(SINK_EXEMPT_PREFIXES[category]):
+            sink = SINKS[category]
+            if fn.relpath.startswith(sink.exempt):
                 continue
-            superseded = SINKS[category][1]
-            if "SA001" in src.disabled or superseded in src.lint_disabled:
-                continue
-            allowed = src.allowed_on_line(line)
-            if "SA001" in allowed or superseded in allowed:
+            if src.suppressed(line, "SA001", sink.rule):
                 continue
             key = (fn.relpath, line, category)
             if key in reported:
@@ -1061,7 +1119,7 @@ def check_sa001(program):
             reported.add(key)
             findings.append(Finding(
                 "SA001", fn.relpath, line,
-                f"{SINKS[category][2]} '{token}' is reachable from model "
+                f"{sink.label} '{token}' is reachable from model "
                 f"entry points (path: {path_of(fn)}); runs must be pure "
                 "functions of (config, seed)",
                 src.snippet(line)))
@@ -1097,14 +1155,12 @@ def check_sa002(program):
     findings = []
     for fn in program.functions:
         src = program.files[fn.relpath]
-        if "SA002" in src.disabled:
-            continue
         for loop in fn.loops:
             if loop.is_unordered is not True:
                 continue
             if loop_is_order_insensitive(loop.body):
                 continue
-            if "SA002" in src.allowed_on_line(loop.line):
+            if src.suppressed(loop.line, "SA002"):
                 continue
             findings.append(Finding(
                 "SA002", fn.relpath, loop.line,
@@ -1134,8 +1190,6 @@ def check_sa003(program):
         if fn.simple_name == fn.class_qual.rsplit("::", 1)[-1]:
             continue  # constructor: no incarnation to lose yet
         src = program.files[fn.relpath]
-        if "SA003" in src.disabled:
-            continue
         journaled = False
         flagged = set()
         for kind, name, line in fn.events:
@@ -1145,7 +1199,7 @@ def check_sa003(program):
             if journaled or name not in members or name in flagged:
                 continue
             flagged.add(name)
-            if "SA003" in src.allowed_on_line(line):
+            if src.suppressed(line, "SA003"):
                 continue
             findings.append(Finding(
                 "SA003", fn.relpath, line,
@@ -1161,10 +1215,7 @@ def check_sa004(program):
     findings = []
     for rel, st in program.statics:
         src = program.files[rel]
-        if "SA004" in src.disabled:
-            continue
-        allowed = src.allowed_on_line(st.line)
-        if "SA004" in allowed or "DR010" in allowed or "DR012" in allowed:
+        if src.suppressed(st.line, "SA004", *SA004_SUPERSEDES):
             continue
         findings.append(Finding(
             "SA004", rel, st.line,
@@ -1176,12 +1227,10 @@ def check_sa004(program):
         if not fn.relpath.startswith(("src/campaign/", "src/chaos/")):
             continue
         src = program.files[fn.relpath]
-        if "SA004" in src.disabled:
-            continue
         for lam in fn.lambdas:
             if not (lam.default_ref_capture and lam.is_worker_job):
                 continue
-            if "SA004" in src.allowed_on_line(lam.line):
+            if src.suppressed(lam.line, "SA004"):
                 continue
             findings.append(Finding(
                 "SA004", fn.relpath, lam.line,
@@ -1192,16 +1241,213 @@ def check_sa004(program):
     return findings
 
 
-CHECKS = {
-    "SA001": check_sa001,
-    "SA002": check_sa002,
-    "SA003": check_sa003,
-    "SA004": check_sa004,
-}
+RULES = [
+    Rule(
+        "DR001", "wall-clock-time",
+        "No wall-clock or OS time sources outside src/common/rng.*.",
+        "The DR model runs on virtual sim::Time only. One std::chrono clock "
+        "read mixed into protocol or substrate logic breaks bit-for-bit "
+        "determinism per seed, and with it every shrunk chaos repro and "
+        "golden accounting test.",
+        sink_rule("wall-clock",
+                  "wall-clock time source '{match}' (virtual sim::Time "
+                  "only)")),
+    Rule(
+        "DR002", "ambient-randomness",
+        "All randomness flows through the seeded asyncdr::Rng streams.",
+        "Runs must be pure functions of (config, seed): the chaos shrinker, "
+        "the two-world lower-bound adversary, and the bench baselines all "
+        "rely on replaying a seed to reproduce the exact execution. "
+        "std::random_device, rand(), or an ad-hoc mt19937 adds entropy the "
+        "seed does not control.",
+        sink_rule("randomness",
+                  "ambient randomness '{match}' (use asyncdr::Rng split "
+                  "streams)")),
+    Rule(
+        "DR003", "source-internals",
+        "Source/ValueSource state mutation stays on the query-accounting "
+        "path (src/dr/source.*, src/oracle/*).",
+        "Every bit a peer learns from the external source must be accounted "
+        "by Query — that is the quantity Theorems 1-6 bound. Code that swaps "
+        "arrays, installs overlays, or resets counters from elsewhere can "
+        "leak unaccounted bits; the two-world adversary constructions that "
+        "legitimately need it carry explicit allow() annotations.",
+        regex_rule(
+            "DR003",
+            r"\.\s*(set_data|set_overlay|reset_accounting"
+            r"|enable_index_recording)\s*\("
+            r"|\bsource\(\)\s*\.\s*data\s*\(\)",
+            "source-internals access '{match}' outside the accounting path",
+            exempt=("src/dr/source.", "src/oracle/"))),
+    Rule(
+        "DR004", "stdout-in-library",
+        "No console I/O (std::cout/cerr/cin, printf) in library code under "
+        "src/.",
+        "Library-side printing corrupts machine-readable output (the CLI "
+        "pipes reports and JSON to stdout), console input makes a run "
+        "depend on the terminal, and both hide information from the "
+        "structured report types tests assert on. Designated report "
+        "renderers carry an allow() annotation.",
+        sink_rule("iostream", "direct console I/O '{match}' in library code",
+                  dirs=("src",))),
+    Rule(
+        "DR005", "pragma-once",
+        "Every header carries #pragma once.",
+        "A double-included header produces ODR spaghetti that surfaces as "
+        "baffling link errors; one uniform guard style keeps the check "
+        "mechanical.",
+        whole_file_rule(
+            "DR005",
+            lambda src: src.relpath.endswith((".hpp", ".h", ".hh"))
+            and "#pragma once" not in src.text,
+            "header lacks '#pragma once'")),
+    Rule(
+        "DR006", "include-hygiene",
+        'Quoted includes resolve from the src/ root; system headers use <>.',
+        "Includes that only resolve through accidental -I paths or ../ hops "
+        "break as soon as a target's include dirs change; src/-rooted spelling "
+        "keeps every header's location explicit and greppable.",
+        check_include_hygiene),
+    Rule(
+        "DR007", "namespace",
+        "All src/ code lives in namespace asyncdr.",
+        "Global-namespace symbols collide with dependencies and make ADL "
+        "surprises possible; the namespace is also what scopes the "
+        "identifier-naming rules clang-tidy enforces.",
+        whole_file_rule(
+            "DR007",
+            lambda src: src.relpath.startswith("src/")
+            and "namespace asyncdr" not in src.text,
+            "src/ file declares nothing in namespace asyncdr")),
+    Rule(
+        "DR008", "raw-throw",
+        "Use ASYNCDR_EXPECTS/ASYNCDR_INVARIANT instead of raw throw.",
+        "Contract macros attach the failed expression and source location "
+        "and funnel everything into asyncdr::contract_violation, which tests "
+        "and the chaos runner catch by type. A raw throw bypasses that "
+        "taxonomy (check.hpp itself is the single designated throw site).",
+        regex_rule("DR008", r"\bthrow\b",
+                   "raw '{match}' (use the ASYNCDR_* contract macros)",
+                   dirs=("src",), exempt=("src/common/check.hpp",))),
+    Rule(
+        "DR009", "phase-accounting",
+        "Registered protocol peers open at least one begin_phase().",
+        "RunReport's per-phase Q/T/M breakdown reconciles exactly against "
+        "run totals; a protocol that never opens a phase dumps its whole "
+        "cost into the catch-all and the reconciliation test loses its "
+        "teeth for that protocol.",
+        check_phase_coverage),
+    Rule(
+        "DR010", "threads-outside-substrate",
+        "Threading primitives only in src/campaign/ and "
+        "src/common/threads.*.",
+        "A dr::World is single-threaded by design — determinism comes from "
+        "a sequential event loop. Parallelism belongs in the sweep substrate "
+        "that fans out *independent* worlds; a mutex or thread inside model "
+        "code is either a data race waiting for TSan or hidden "
+        "schedule-dependence. Shared read-only caches that genuinely need a "
+        "lock carry an allow() annotation.",
+        sink_rule("threads",
+                  "threading primitive '{match}' outside the sweep substrate",
+                  dirs=("src",))),
+    Rule(
+        "DR011", "persistence-outside-journal",
+        "No direct filesystem or stream persistence in src/ outside "
+        "dr::Journal (src/dr/journal.*).",
+        "Crash-recovery durability flows through the dr::Journal write-ahead "
+        "log, whose backing store is sim-owned and deterministic. An ad-hoc "
+        "fstream or fopen in model code introduces ambient filesystem state "
+        "the seed does not control: restarts would replay host files instead "
+        "of the journal, and chaos repros would stop being pure functions of "
+        "(config, seed). Bench and CLI layers write reports freely — the "
+        "rule guards src/ only.",
+        regex_rule(
+            "DR011",
+            r"std::(o|i|w)?fstream\b|\bstd::filesystem\b"
+            r"|\b(fopen|freopen|fwrite|fread|tmpfile|mkstemp)\s*\(",
+            "direct persistence '{match}' outside dr::Journal",
+            dirs=("src",), exempt=("src/dr/journal.",))),
+    Rule(
+        "DR012", "cross-world-sharing",
+        "Campaign/sweep worker code must not share mutable world state "
+        "(dr::World, sim::Engine, sim::Network, dr::Peer) across runs.",
+        "The campaign substrate's determinism contract (same seed => "
+        "byte-identical summary at any thread count) holds because every "
+        "run builds its own world and workers share only the claim cursor "
+        "and their private collector shards. A static world, or shared "
+        "ownership of one, couples runs through scheduling: Q/T/M would "
+        "depend on which worker ran first, and same-seed repros would stop "
+        "reproducing.",
+        regex_rule(
+            "DR012",
+            r"\bstatic\s+(?!const\b|constexpr\b)[^;=(]*"
+            r"\b(dr::World|sim::Engine|sim::Network|dr::Peer)\b"
+            r"|\bstd::shared_ptr<\s*(dr::World|sim::Engine|sim::Network"
+            r"|dr::Peer)\b",
+            "cross-world mutable sharing '{match}' in sweep code (each "
+            "campaign run owns its world)",
+            dirs=("src/campaign", "src/chaos"))),
+    Rule(
+        "SA001", "purity-reachability",
+        "No wall-clock, ambient randomness, iostream state, or thread "
+        "primitives reachable from sim::/dr::/proto::/oracle:: entry points.",
+        "The adversary controls scheduling and nothing else (PAPER.md "
+        "model): a run must be a pure function of (config, seed). The "
+        "per-line rules DR001/DR002/DR004/DR010 check each line in "
+        "isolation; this rule walks the interprocedural call graph so a "
+        "clock read buried two helpers deep under dr::World::run is still "
+        "caught. It reads the same SINKS table with the same owner "
+        "exemptions (src/common/rng.* for entropy, src/campaign/ + "
+        "src/common/threads.* for parallelism), and sites already allowed "
+        "under the DR rule of the sink's category, with a written "
+        "justification, are honored rather than re-triaged.",
+        check_sa001),
+    Rule(
+        "SA002", "ordered-iteration",
+        "No range-for/iterator loops over std::unordered_{map,set} unless "
+        "provably order-insensitive or carrying a justification.",
+        "Hash-map iteration order is libstdc++-internal state: it varies "
+        "with insertion history, rehash points, and pointer values. One such "
+        "loop feeding a trace, report, or summary silently breaks the "
+        "byte-identical-traces contract the golden A/B suite and the "
+        "campaign thread-count-independence tests pin. The analyzer proves "
+        "a loop harmless only when every statement is a commutative scalar "
+        "accumulation (+=, ++) with no other calls; everything else needs a "
+        "sorted copy, a std::map, or an allow() with the argument written "
+        "down.",
+        check_sa002),
+    Rule(
+        "SA003", "wal-ordering",
+        "Journal clients append to the write-ahead journal before mutating "
+        "recovered state on every path through a function.",
+        "Recovery replays the journal, nothing else (PR 6): bits a peer "
+        "mutated into its recovered state (the members its on_restart "
+        "rebuilds) without first appending them are silently re-queried — "
+        "or worse, double-counted — by the next incarnation, and the "
+        "warm-vs-cold Q accounting in BENCH_recovery.json stops meaning "
+        "anything. DR011 only fences ambient persistence; this rule checks "
+        "the append-before-mutate order inside each function of every class "
+        "that overrides on_restart.",
+        check_sa003),
+    Rule(
+        "SA004", "cross-world-sharing",
+        "Campaign/chaos worker code: no non-const statics, no default-[&] "
+        "capture on worker lambdas.",
+        "The campaign determinism contract (same seed => byte-identical "
+        "summary at any thread count) holds because workers share only the "
+        "claim cursor and private collector shards. DR012 greps for shared "
+        "world *types*; this rule catches the general shapes: any mutable "
+        "static in src/campaign//src/chaos (one counter couples every run "
+        "through scheduling), and Job lambdas with a default by-reference "
+        "capture, which make the shared surface invisible — explicit "
+        "capture lists keep it auditable.",
+        check_sa004),
+]
+RULES_BY_ID = {r.id: r for r in RULES}
 
 
 # --------------------------------------------------------------------------
-# Output
+# Output and baseline
 # --------------------------------------------------------------------------
 
 def list_rules():
@@ -1209,96 +1455,99 @@ def list_rules():
     for r in RULES:
         out.append(f"{r.id}  {r.name}")
         out.append(f"    {r.summary}")
-        for line in _wrap(r.rationale, 72):
-            out.append(f"      {line}")
+        out.extend(f"      {line}" for line in textwrap.wrap(r.rationale, 72))
     return "\n".join(out)
 
 
-def _wrap(text, width):
-    words, lines, cur = text.split(), [], ""
-    for w in words:
-        if cur and len(cur) + 1 + len(w) > width:
-            lines.append(cur)
-            cur = w
-        else:
-            cur = f"{cur} {w}".strip()
-    if cur:
-        lines.append(cur)
-    return lines
-
-
-def sarif_run(findings, frontend):
-    return {
-        "tool": {"driver": {
-            "name": "asyncdr-sema",
-            "informationUri": "tools/asyncdr_sema.py",
-            "properties": {"frontend": frontend},
-            "rules": [{
-                "id": r.id,
-                "name": r.name,
-                "shortDescription": {"text": r.summary},
-                "fullDescription": {"text": r.rationale},
-                "defaultConfiguration": {"level": "error"},
-            } for r in RULES],
-        }},
-        "results": [{
-            "ruleId": f.rule,
-            "level": "error",
-            "message": {"text": f.message},
-            "partialFingerprints": {"asyncdrSema/v1": f.fingerprint()},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": f.path},
-                    "region": {"startLine": max(f.line, 1)},
-                },
-            }],
-        } for f in findings],
+def write_sarif(path, findings, frontend):
+    doc = {
+        "$schema": ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
+                    "master/Schemata/sarif-schema-2.1.0.json"),
+        "version": "2.1.0",
+        "runs": [{
+            "tool": {"driver": {
+                "name": "asyncdr-sema",
+                "informationUri": "tools/asyncdr_sema.py",
+                "properties": {"frontend": frontend},
+                "rules": [{
+                    "id": r.id,
+                    "name": r.name,
+                    "shortDescription": {"text": r.summary},
+                    "fullDescription": {"text": r.rationale},
+                    "defaultConfiguration": {"level": "error"},
+                } for r in RULES],
+            }},
+            "results": [{
+                "ruleId": f.rule,
+                "level": "error",
+                "message": {"text": f.message},
+                "partialFingerprints": {"asyncdrSema/v1": f.fingerprint()},
+                "locations": [{
+                    "physicalLocation": {
+                        "artifactLocation": {"uri": f.path},
+                        "region": {"startLine": f.line},
+                    },
+                }],
+            } for f in findings],
+        }],
     }
-
-
-def write_sarif(path, findings, frontend, merge):
-    doc = None
-    if merge and os.path.isfile(path):
-        try:
-            with open(path, encoding="utf-8") as f:
-                doc = json.load(f)
-        except (OSError, json.JSONDecodeError):
-            doc = None
-        if doc is not None and not isinstance(doc.get("runs"), list):
-            doc = None
-    if doc is None:
-        doc = {
-            "$schema": ("https://raw.githubusercontent.com/oasis-tcs/"
-                        "sarif-spec/master/Schemata/sarif-schema-2.1.0.json"),
-            "version": "2.1.0",
-            "runs": [],
-        }
-    doc["runs"] = [r for r in doc["runs"]
-                   if r.get("tool", {}).get("driver", {}).get("name")
-                   != "asyncdr-sema"]
-    doc["runs"].append(sarif_run(findings, frontend))
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
+
+
+# The baseline gates CI on "no NEW findings": fingerprints already recorded
+# in the checked-in file are tolerated, anything else fails. An entry no
+# current finding matches is stale (the line was fixed, moved files, or had
+# its text edited); stale entries are reported, and --prune-baseline drops
+# them, so a fixed finding cannot linger and pre-approve a later regression.
+
+class BaselineError(Exception):
+    """Malformed or unreadable baseline file."""
+
+
+def load_baseline(path):
+    """The set of fingerprints in `path`; empty when the file is absent."""
+    if not os.path.isfile(path):
+        return set()
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        raise BaselineError(f"cannot read baseline {path}: {e}")
+    if doc.get("schema") != BASELINE_SCHEMA:
+        raise BaselineError(f"{path} is not a {BASELINE_SCHEMA} file")
+    return set(doc.get("fingerprints", []))
+
+
+def write_baseline(path, fingerprints):
+    doc = {"schema": BASELINE_SCHEMA, "fingerprints": sorted(fingerprints)}
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
+
+
+def _entries(count, adjective):
+    return f"{count} {adjective} entr{'y' if count == 1 else 'ies'}"
 
 
 # --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
-CXX_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc", ".hh")
-
-
-def collect_src_files(root):
-    out = []
-    top = os.path.join(root, "src")
-    for dirpath, dirnames, filenames in os.walk(top):
-        dirnames.sort()
-        for name in sorted(filenames):
-            if name.endswith(CXX_EXTENSIONS):
-                rel = os.path.relpath(os.path.join(dirpath, name), root)
-                out.append(rel.replace(os.sep, "/"))
-    return out
+def collect_files(root):
+    """Every C++ file under SCAN_ROOTS, keyed by repo-relative path."""
+    files = {}
+    for scan_root in SCAN_ROOTS:
+        for dirpath, dirnames, filenames in os.walk(
+                os.path.join(root, scan_root)):
+            dirnames.sort()
+            for name in sorted(filenames):
+                if name.endswith(CXX_EXTENSIONS):
+                    src = SourceFile(root, os.path.relpath(
+                        os.path.join(dirpath, name), root))
+                    files[src.relpath] = src
+    return files
 
 
 def find_compile_db(root, explicit):
@@ -1313,11 +1562,10 @@ def find_compile_db(root, explicit):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(
-        description="asyncdr semantic determinism analyzer")
+    ap = argparse.ArgumentParser(description="asyncdr static analyzer")
     ap.add_argument("paths", nargs="*",
                     help="restrict FINDINGS to these repo-relative files "
-                         "(analysis always runs whole-program)")
+                         "(analysis always runs over the whole tree)")
     ap.add_argument("--root", default=None,
                     help="repo root (default: parent of this script)")
     ap.add_argument("--compile-db", default=None,
@@ -1329,10 +1577,6 @@ def main(argv=None):
     ap.add_argument("--list-rules", action="store_true")
     ap.add_argument("--sarif", metavar="FILE",
                     help="write SARIF 2.1.0 report to FILE")
-    ap.add_argument("--merge-sarif", metavar="FILE",
-                    help="append this tool's run to an existing SARIF file "
-                         "(e.g. the asyncdr-lint report), creating it if "
-                         "missing")
     ap.add_argument("--baseline", metavar="FILE", default=None,
                     help="baseline file (default: tools/sema_baseline.json)")
     ap.add_argument("--no-baseline", action="store_true")
@@ -1353,6 +1597,13 @@ def main(argv=None):
               file=sys.stderr)
         return 2
 
+    wanted_rules = [r.strip() for r in args.rules.split(",")] \
+        if args.rules else list(RULES_BY_ID)
+    for rule_id in wanted_rules:
+        if rule_id not in RULES_BY_ID:
+            print(f"error: unknown rule {rule_id}", file=sys.stderr)
+            return 2
+
     def warn(msg):
         print(f"asyncdr-sema: warning: {msg}", file=sys.stderr)
 
@@ -1365,74 +1616,62 @@ def main(argv=None):
               "--frontend fallback", file=sys.stderr)
         return 77
 
-    relpaths = collect_src_files(root)
+    files = collect_files(root)
     if frontend == "libclang":
         db = find_compile_db(root, args.compile_db)
         if db is None:
             print("asyncdr-sema: no compile_commands.json (configure with "
                   "cmake first, e.g. `cmake --preset dev`)", file=sys.stderr)
             return 2
-        program = build_program_libclang(root, relpaths, db, warn)
+        program = build_program_libclang(root, files, db, warn)
     else:
-        program = build_program_fallback(root, relpaths)
-
-    wanted_rules = [r.strip() for r in args.rules.split(",")] \
-        if args.rules else list(CHECKS)
-    for rule_id in wanted_rules:
-        if rule_id not in CHECKS:
-            print(f"error: unknown rule {rule_id}", file=sys.stderr)
-            return 2
+        program = build_program_fallback(root, files)
 
     findings = []
     for rule_id in wanted_rules:
-        findings.extend(CHECKS[rule_id](program))
+        findings.extend(RULES_BY_ID[rule_id].check(program))
     if args.paths:
         wanted = {os.path.normpath(p).replace(os.sep, "/")
                   for p in args.paths}
         findings = [f for f in findings if f.path in wanted]
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
+    current = {f.fingerprint() for f in findings}
 
     if args.sarif:
-        write_sarif(args.sarif, findings, frontend, merge=False)
-    if args.merge_sarif:
-        write_sarif(args.merge_sarif, findings, frontend, merge=True)
+        write_sarif(args.sarif, findings, frontend)
 
     baseline_path = args.baseline or os.path.join(
         root, "tools", "sema_baseline.json")
     if args.write_baseline:
-        asyncdr_baseline.write(baseline_path, BASELINE_SCHEMA,
-                               (f.fingerprint() for f in findings))
-        print(f"baseline: wrote {len(findings)} fingerprint(s) to "
+        write_baseline(baseline_path, current)
+        print(f"baseline: wrote {len(current)} fingerprint(s) to "
               f"{baseline_path}")
         return 0
-    if args.prune_baseline:
+    known = set()
+    if not args.no_baseline or args.prune_baseline:
         try:
-            kept, removed = asyncdr_baseline.prune(
-                baseline_path, BASELINE_SCHEMA,
-                (f.fingerprint() for f in findings))
-        except asyncdr_baseline.BaselineError as e:
+            known = load_baseline(baseline_path)
+        except BaselineError as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
-        print(f"baseline: kept {kept}, pruned {removed} stale entr"
-              f"{'y' if removed == 1 else 'ies'} in {baseline_path}")
+    stale = sorted(known - current)
+    if args.prune_baseline:
+        if stale:
+            write_baseline(baseline_path, known & current)
+        print(f"baseline: kept {len(known & current)}, pruned "
+              f"{_entries(len(stale), 'stale')} in {baseline_path}")
         return 0
 
-    known = set()
-    if not args.no_baseline:
-        try:
-            known = asyncdr_baseline.load(baseline_path, BASELINE_SCHEMA)
-        except asyncdr_baseline.BaselineError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-    if known and not args.paths:
-        _, stale = asyncdr_baseline.split_stale(
-            known, (f.fingerprint() for f in findings))
-        for line in asyncdr_baseline.describe_stale(stale):
-            print(f"asyncdr-sema:{line}", file=sys.stderr)
-        if stale:
-            print(f"asyncdr-sema: {len(stale)} stale baseline entr"
-                  f"{'y' if len(stale) == 1 else 'ies'} (run "
-                  "--prune-baseline to drop)", file=sys.stderr)
+    # Stale entries are reported but not fatal: they cannot hide a new
+    # finding, and a run restricted to some paths would otherwise see every
+    # other entry as stale.
+    if stale and not args.paths:
+        for fp in stale:
+            rule, path, _ = (fp.split(":", 2) + ["", ""])[:3]
+            print(f"asyncdr-sema:  stale baseline entry {path} ({rule}): no "
+                  f"current finding matches {fp}", file=sys.stderr)
+        print(f"asyncdr-sema: {_entries(len(stale), 'stale baseline')} (run "
+              "--prune-baseline to drop)", file=sys.stderr)
 
     new = [f for f in findings if f.fingerprint() not in known]
     for f in new:

@@ -20,7 +20,7 @@ With --summary, the summary JSON must be schema asyncdr-campaign-v1 with a
 matching campaign name and run counts.
 
 Exit status: 0 = valid, 1 = invalid, 2 = usage/parse error.
-Zero third-party dependencies by design (same contract as asyncdr_lint.py).
+Zero third-party dependencies by design (same contract as asyncdr_sema.py).
 """
 
 import argparse
