@@ -41,6 +41,11 @@ void BitVec::flip(std::size_t i) {
   words_[i / kWordBits] ^= std::uint64_t{1} << (i % kWordBits);
 }
 
+void BitVec::flip_all() {
+  for (std::uint64_t& word : words_) word = ~word;
+  trim_tail();
+}
+
 void BitVec::push_back(bool value) {
   if (size_ % kWordBits == 0) words_.push_back(0);
   ++size_;

@@ -39,6 +39,8 @@ class BitVec {
   [[nodiscard]] bool get(std::size_t i) const;
   void set(std::size_t i, bool value);
   void flip(std::size_t i);
+  /// Complements every bit, a word at a time.
+  void flip_all();
 
   /// Appends one bit at the end.
   void push_back(bool value);

@@ -30,7 +30,8 @@ bool Source::query(sim::PeerId by, std::size_t index) {
                       "Source::query: unknown peer id " + std::to_string(by));
   ASYNCDR_EXPECTS_MSG(index < data_.size(),
                       oob_message("query", index, data_.size()));
-  account(by, index, index + 1);
+  record(by, index, index + 1);
+  account(by, 1);
   return view_for(by).get(index);
 }
 
@@ -45,7 +46,8 @@ BitVec Source::query_range(sim::PeerId by, std::size_t lo, std::size_t len) {
       "Source::query_range: range [" + std::to_string(lo) + ", " +
           std::to_string(lo) + "+" + std::to_string(len) +
           ") exceeds the n=" + std::to_string(data_.size()) + "-bit array");
-  account(by, lo, lo + len);
+  record(by, lo, lo + len);
+  account(by, len);
   return view_for(by).slice(lo, len);
 }
 
@@ -54,14 +56,18 @@ BitVec Source::query_indices(sim::PeerId by,
   ASYNCDR_EXPECTS_MSG(by < counts_.size(),
                       "Source::query_indices: unknown peer id " +
                           std::to_string(by));
+  // Check the whole batch first, so a rejected batch accounts nothing.
+  for (const std::size_t index : indices) {
+    ASYNCDR_EXPECTS_MSG(index < data_.size(),
+                        oob_message("query_indices", index, data_.size()));
+  }
   const BitVec& view = view_for(by);
   BitVec out(indices.size());
   for (std::size_t j = 0; j < indices.size(); ++j) {
-    ASYNCDR_EXPECTS_MSG(indices[j] < data_.size(),
-                        oob_message("query_indices", indices[j], data_.size()));
-    account(by, indices[j], indices[j] + 1);
+    record(by, indices[j], indices[j] + 1);
     out.set(j, view.get(indices[j]));
   }
+  if (!indices.empty()) account(by, indices.size());
   return out;
 }
 
@@ -109,11 +115,14 @@ std::size_t Source::memory_bytes() const {
   return static_cast<std::size_t>(total);
 }
 
-void Source::account(sim::PeerId by, std::size_t lo, std::size_t hi) {
-  counts_[by] += hi - lo;
-  total_bits_served_ += hi - lo;
+void Source::record(sim::PeerId by, std::size_t lo, std::size_t hi) {
   if (record_indices_) indices_[by].insert(lo, hi);
-  if (query_observer_) query_observer_(by, hi - lo);
+}
+
+void Source::account(sim::PeerId by, std::size_t bits) {
+  counts_[by] += bits;
+  total_bits_served_ += bits;
+  if (query_observer_) query_observer_(by, bits);
 }
 
 }  // namespace asyncdr::dr

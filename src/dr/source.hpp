@@ -35,7 +35,9 @@ class Source {
   BitVec query_range(sim::PeerId by, std::size_t lo, std::size_t len);
 
   /// Queries an arbitrary index list; costs indices.size() bits. The result
-  /// bit j is X[indices[j]].
+  /// bit j is X[indices[j]]. The list is one batch: every index is checked
+  /// before any is accounted, and a non-empty batch is accounted (and
+  /// observed) once.
   BitVec query_indices(sim::PeerId by, const std::vector<std::size_t>& indices);
 
   /// Bits queried so far by one peer.
@@ -80,7 +82,10 @@ class Source {
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  void account(sim::PeerId by, std::size_t lo, std::size_t hi);
+  /// Records [lo, hi) in by's queried-index set, when recording is on.
+  void record(sim::PeerId by, std::size_t lo, std::size_t hi);
+  /// Charges one batch of `bits` to `by` and reports it to the observer.
+  void account(sim::PeerId by, std::size_t bits);
 
   [[nodiscard]] const BitVec& view_for(sim::PeerId by) const;
 

@@ -32,7 +32,7 @@ void CommitteeLiarPeer::on_start() {
   switch (mode_) {
     case Mode::kFlipAll: {
       BitVec lie = truth;
-      for (std::size_t j = 0; j < lie.size(); ++j) lie.flip(j);
+      lie.flip_all();
       broadcast(std::make_shared<committee::Votes>(std::move(lie)));
       break;
     }
@@ -44,7 +44,7 @@ void CommitteeLiarPeer::on_start() {
     }
     case Mode::kEquivocate: {
       BitVec lie = truth;
-      for (std::size_t j = 0; j < lie.size(); ++j) lie.flip(j);
+      lie.flip_all();
       for (sim::PeerId to = 0; to < k(); ++to) {
         if (to == id()) continue;
         send(to, std::make_shared<committee::Votes>(to % 2 == 0 ? truth : lie));
@@ -69,7 +69,7 @@ void VoteStuffPeer::on_start() {
     const std::size_t seg = target_ % layout.count();
     const Interval b = layout.bounds(seg);
     BitVec fake = query_range(b.lo, b.length());
-    for (std::size_t j = 0; j < fake.size(); ++j) fake.flip(j);
+    fake.flip_all();
     broadcast(std::make_shared<rnd::Report>(cycle, seg, std::move(fake)));
     if (layout.count() == 1) break;
     layout = layout.coarsen();

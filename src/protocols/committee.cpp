@@ -25,11 +25,16 @@ std::size_t CommitteeAssignment::position(sim::PeerId p, std::size_t bit) const 
   return (p + k_ - (bit * c_) % k_) % k_;
 }
 
+std::size_t CommitteeAssignment::load(sim::PeerId p) const {
+  ASYNCDR_EXPECTS(p < k_);
+  const std::size_t slots = n_ * c_;
+  return p < slots ? (slots - 1 - p) / k_ + 1 : 0;
+}
+
 std::vector<std::size_t> CommitteeAssignment::bits_of(sim::PeerId p) const {
   std::vector<std::size_t> bits;
-  for (std::size_t j = 0; j < n_; ++j) {
-    if (is_member(p, j)) bits.push_back(j);
-  }
+  bits.reserve(load(p));
+  for_each_bit(p, [&](std::size_t bit) { bits.push_back(bit); });
   return bits;
 }
 
@@ -72,29 +77,29 @@ void CommitteePeer::init() {
   assignment_ = std::make_unique<CommitteeAssignment>(n(), k(), t);
   out_ = BitVec(n());
   decided_.assign(n(), false);
-  votes0_.assign(n(), 0);
-  votes1_.assign(n(), 0);
-  voted_.assign(n(), std::vector<bool>(assignment_->committee_size(), false));
+  ASYNCDR_EXPECTS_MSG(assignment_->committee_size() <= UINT16_MAX,
+                      "committee vote tallies are 16-bit (2t+1 <= 65535)");
+  tally_.assign(n(), {0, 0});
+  heard_.assign(k(), false);
 }
 
 void CommitteePeer::process_votes(sim::PeerId from,
                                   const committee::Votes& votes) {
-  if (from >= k()) return;
-  const std::vector<std::size_t> bits = assignment_->bits_of(from);
+  if (from >= k() || heard_[from]) return;  // repeats add no vote
   // A malformed (wrong-length) vote vector can only come from a Byzantine
-  // sender; drop it entirely.
-  if (votes.values.size() != bits.size()) return;
+  // sender; drop it entirely, leaving the sender's well-formed votes open.
+  if (votes.values.size() != assignment_->load(from)) return;
+  heard_[from] = true;
 
-  for (std::size_t j = 0; j < bits.size(); ++j) {
-    const std::size_t bit = bits[j];
-    if (decided_[bit]) continue;
-    const std::size_t pos = assignment_->position(from, bit);
-    if (voted_[bit][pos]) continue;  // duplicate vote from this member
-    voted_[bit][pos] = true;
-    const bool value = votes.values.get(j);
-    const std::uint32_t count = value ? ++votes1_[bit] : ++votes0_[bit];
-    if (count >= accept_threshold()) decide(bit, value);
-  }
+  // Decided bits are tallied too: a bit decides when a count first reaches
+  // the threshold, and decide() ignores any later crossing, so the loop
+  // needs no branch on decided_.
+  const std::size_t threshold = accept_threshold();
+  std::size_t j = 0;
+  assignment_->for_each_bit(from, [&](std::size_t bit) {
+    const bool value = votes.values.get(j++);
+    if (++tally_[bit][value] == threshold) decide(bit, value);
+  });
 }
 
 std::size_t CommitteePeer::memory_bytes() const {
@@ -109,12 +114,8 @@ std::size_t CommitteePeer::memory_bytes() const {
   }
   bytes += modeled_alloc_bytes(out_.memory_bytes());
   bytes += modeled_alloc_bytes(bit_bytes(decided_));
-  bytes += modeled_alloc_bytes(votes0_.capacity() * sizeof(std::uint32_t));
-  bytes += modeled_alloc_bytes(votes1_.capacity() * sizeof(std::uint32_t));
-  bytes += modeled_alloc_bytes(voted_.capacity() * sizeof(std::vector<bool>));
-  if (!voted_.empty()) {
-    bytes += voted_.size() * modeled_alloc_bytes(bit_bytes(voted_.front()));
-  }
+  bytes += modeled_alloc_bytes(tally_.capacity() * sizeof(tally_[0]));
+  bytes += modeled_alloc_bytes(bit_bytes(heard_));
   return static_cast<std::size_t>(bytes);
 }
 

@@ -9,6 +9,7 @@
 // Q = (number of committees per peer) = ceil(n*c/k) ~ 2*beta*n + n/k.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -19,7 +20,9 @@
 namespace asyncdr::proto {
 
 /// Round-robin committee structure: committee of bit j is the c consecutive
-/// peer IDs starting at (j*c) mod k.
+/// peer IDs starting at (j*c) mod k. Equivalently, committee slot s = j*c + i
+/// (position i of bit j) belongs to peer s mod k, so peer p holds the slots
+/// p, p+k, p+2k, ... below n*c. Since c <= k, no two of them share a bit.
 class CommitteeAssignment {
  public:
   CommitteeAssignment(std::size_t n, std::size_t k, std::size_t t);
@@ -30,6 +33,25 @@ class CommitteeAssignment {
   [[nodiscard]] bool is_member(sim::PeerId p, std::size_t bit) const;
   /// Position of p within bit's committee (0..c-1). p must be a member.
   [[nodiscard]] std::size_t position(sim::PeerId p, std::size_t bit) const;
+  /// Number of bits whose committee contains p (the length of its votes).
+  [[nodiscard]] std::size_t load(sim::PeerId p) const;
+  /// Calls fn(bit) for every bit whose committee contains p, in increasing
+  /// order. O(load(p)): consecutive slots p + m*k lie q = k/c or q+1 bits
+  /// apart, so the walk only adds.
+  template <typename F>
+  void for_each_bit(sim::PeerId p, F&& fn) const {
+    const std::size_t q = k_ / c_, r = k_ % c_;
+    std::size_t bit = p / c_, pos = p % c_;
+    for (std::size_t m = load(p); m > 0; --m) {
+      fn(bit);
+      pos += r;
+      bit += q;
+      if (pos >= c_) {
+        pos -= c_;
+        ++bit;
+      }
+    }
+  }
   /// Bits whose committee contains p, in increasing order.
   [[nodiscard]] std::vector<std::size_t> bits_of(sim::PeerId p) const;
   /// The committee of a bit, in position order.
@@ -71,9 +93,8 @@ class CommitteePeer final : public dr::Peer {
 
   void on_start() override;
   [[nodiscard]] std::string status() const override;
-  /// Output plus the per-bit vote books (decided_, votes0_/votes1_ and the
-  /// n x (2t+1) voted_ table), in closed form: every voted_ row has the
-  /// same c-bit capacity, so the table costs n identical row chunks.
+  /// Output plus the vote books: the decided mask, the per-bit tally pairs
+  /// and the k-bit heard_ mask.
   [[nodiscard]] std::size_t memory_bytes() const override;
 
  protected:
@@ -92,9 +113,11 @@ class CommitteePeer final : public dr::Peer {
   std::vector<bool> decided_;
   std::size_t decided_count_ = 0;
   // Per bit: votes received for value 0 / value 1 from distinct members.
-  std::vector<std::uint32_t> votes0_, votes1_;
-  // Per bit: which committee positions have voted (dedup).
-  std::vector<std::vector<bool>> voted_;
+  // A count never exceeds c, which init() checks fits in 16 bits.
+  std::vector<std::array<std::uint16_t, 2>> tally_;
+  // Per sender: its votes were counted. A well-formed Votes covers every
+  // bit of its sender at once, so one bit per sender dedups all of them.
+  std::vector<bool> heard_;
   bool started_ = false;
   // Termination is gated on having broadcast my own votes: an honest member
   // that finished early but silently would strand other peers below the

@@ -41,6 +41,24 @@ TEST(BitVec, SetGetFlip) {
   EXPECT_EQ(v.popcount(), 0u);
 }
 
+// flip_all complements whole words and must re-zero the tail past size(),
+// or == and hash() would see the flipped padding.
+TEST(BitVec, FlipAllMatchesPerBitFlip) {
+  for (const std::size_t n : {0u, 1u, 63u, 64u, 65u, 129u}) {
+    Rng rng(n + 1);
+    const BitVec v = BitVec::generate(n, [&] { return rng.flip(); });
+    BitVec reference = v;
+    for (std::size_t i = 0; i < n; ++i) reference.flip(i);
+    BitVec flipped = v;
+    flipped.flip_all();
+    EXPECT_EQ(flipped, reference) << "n=" << n;
+    EXPECT_EQ(flipped.hash(), reference.hash()) << "n=" << n;
+    EXPECT_EQ(flipped.popcount(), n - v.popcount()) << "n=" << n;
+    flipped.flip_all();
+    EXPECT_EQ(flipped, v) << "n=" << n;
+  }
+}
+
 TEST(BitVec, OutOfRangeThrows) {
   BitVec v(10);
   EXPECT_THROW((void)v.get(10), contract_violation);

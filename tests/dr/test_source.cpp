@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 
@@ -115,6 +117,37 @@ TEST(Source, QueryIndicesRejectsAnyOutOfRangeIndex) {
     EXPECT_NE(std::string(e.what()).find("index 9"), std::string::npos)
         << e.what();
   }
+}
+
+// A query_indices call is one batch: the observer sees it once with its
+// full size, and a batch with an out-of-bounds index accounts nothing.
+TEST(Source, QueryIndicesAccountsOneBatch) {
+  Source src(BitVec(16), 2);
+  src.enable_index_recording(true);
+  std::vector<std::pair<sim::PeerId, std::size_t>> seen;
+  src.set_query_observer(
+      [&](sim::PeerId peer, std::size_t bits) { seen.emplace_back(peer, bits); });
+
+  src.query_indices(1, {3, 4, 9, 15});
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], std::make_pair(sim::PeerId{1}, std::size_t{4}));
+  EXPECT_EQ(src.bits_queried(1), 4u);
+  EXPECT_EQ(src.total_bits_served(), 4u);
+  const IntervalSet& q = src.queried_indices(1);
+  EXPECT_EQ(q.count(), 4u);
+  EXPECT_TRUE(q.contains(9));
+  EXPECT_FALSE(q.contains(5));
+
+  EXPECT_THROW(src.query_indices(1, {0, 1, 16}), contract_violation);
+  EXPECT_EQ(seen.size(), 1u);
+  EXPECT_EQ(src.bits_queried(1), 4u);
+  EXPECT_EQ(src.total_bits_served(), 4u);
+  EXPECT_EQ(src.queried_indices(1).count(), 4u);
+  EXPECT_FALSE(src.queried_indices(1).contains(0));
+
+  // An empty batch costs nothing and is not observed.
+  src.query_indices(0, {});
+  EXPECT_EQ(seen.size(), 1u);
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
+#include "dr/world.hpp"
 #include "harness.hpp"
 #include "obs/mem.hpp"
 #include "protocols/bounds.hpp"
@@ -39,6 +42,32 @@ TEST(CommitteeAssignment, BitsOfMatchesMembership) {
   std::size_t total = 0;
   for (sim::PeerId p = 0; p < 9; ++p) total += a.bits_of(p).size();
   EXPECT_EQ(total, 64u * 7u);
+}
+
+// The walk in bits_of/for_each_bit against a full membership scan, over
+// shapes where gcd(c, k) > 1 (k=9, t=1; k=12, t=1), where n is below the
+// period k / gcd(c, k) of the committee starts, and where n is not a
+// multiple of it.
+TEST(CommitteeAssignment, BitsOfMatchesBruteForce) {
+  for (const std::size_t k : {1u, 2u, 3u, 5u, 8u, 9u, 12u, 16u, 17u}) {
+    for (std::size_t t = 0; 2 * t + 1 <= k; ++t) {
+      for (const std::size_t n : {1u, 2u, 5u, 8u, 13u, 35u, 64u, 100u}) {
+        const CommitteeAssignment a(n, k, t);
+        std::size_t total = 0;
+        for (sim::PeerId p = 0; p < k; ++p) {
+          std::vector<std::size_t> scan;
+          for (std::size_t bit = 0; bit < n; ++bit) {
+            if (a.is_member(p, bit)) scan.push_back(bit);
+          }
+          EXPECT_EQ(a.bits_of(p), scan)
+              << "n=" << n << " k=" << k << " t=" << t << " p=" << p;
+          EXPECT_EQ(a.load(p), scan.size());
+          total += scan.size();
+        }
+        EXPECT_EQ(total, n * (2 * t + 1));
+      }
+    }
+  }
 }
 
 TEST(CommitteeAssignment, LoadIsBalancedWithinOne) {
@@ -101,6 +130,96 @@ TEST_P(CommitteeAttack, CorrectUnderAttack) {
 
 INSTANTIATE_TEST_SUITE_P(Attacks, CommitteeAttack, ::testing::Values(0, 1, 2, 3, 4));
 
+// A test-local committee liar (the complement of the truth) with a scripted
+// send sequence: its votes once, its votes twice, or a wrong-length vector
+// before its votes.
+class ScriptedLiarPeer final : public dr::Peer {
+ public:
+  enum class Script { kOnce, kTwice, kMalformedFirst };
+  explicit ScriptedLiarPeer(Script script) : script_(script) {}
+
+  void on_start() override {
+    const CommitteeAssignment a(n(), k(), world().config().max_faulty());
+    BitVec lie = query_indices(a.bits_of(id()));
+    lie.flip_all();
+    if (script_ == Script::kMalformedFirst) {
+      broadcast(std::make_shared<committee::Votes>(BitVec(lie.size() + 1)));
+    }
+    broadcast(std::make_shared<committee::Votes>(lie));
+    if (script_ == Script::kTwice) {
+      broadcast(std::make_shared<committee::Votes>(lie));
+    }
+  }
+
+ protected:
+  void on_message(sim::PeerId, const sim::Payload&) override {}
+
+ private:
+  Script script_;
+};
+
+// t = 2, so a bit decides on 3 matching votes. The two liars' votes arrive
+// long before any honest one: if peer 1's repeat counted again, its two
+// votes plus peer 2's would decide the bits they share wrongly. Repeats
+// and a malformed vector change no output, no query and no timing.
+TEST(Committee, DuplicateAndMalformedVotesIgnored) {
+  const auto run = [](ScriptedLiarPeer::Script first,
+                      ScriptedLiarPeer::Script second,
+                      std::vector<BitVec>& outputs) {
+    Scenario s;
+    s.cfg = cfg(512, 7, 0.3, 8);
+    s.honest = make_committee();
+    s.byzantine = [=](const dr::Config&, sim::PeerId id) {
+      return std::make_unique<ScriptedLiarPeer>(id == 1 ? first : second);
+    };
+    s.byz_ids = {1, 2};
+    s.latency = sender_delay_latency({0, 3, 4, 5, 6}, /*slow=*/5.0);
+    s.post_run = [&](dr::World& world, const dr::RunReport&) {
+      for (sim::PeerId p : {0u, 3u, 4u, 5u, 6u}) {
+        outputs.push_back(world.peer(p).output());
+      }
+    };
+    return expect_ok(s, "scripted liars");
+  };
+  using Script = ScriptedLiarPeer::Script;
+  std::vector<BitVec> once_out, noisy_out;
+  const dr::RunReport once = run(Script::kOnce, Script::kOnce, once_out);
+  const dr::RunReport noisy =
+      run(Script::kTwice, Script::kMalformedFirst, noisy_out);
+  EXPECT_EQ(noisy_out, once_out);
+  EXPECT_EQ(noisy.query_complexity, once.query_complexity);
+  EXPECT_EQ(noisy.time_complexity, once.time_complexity);
+}
+
+// The same rule one delivery at a time, at peer 0 of k=5, t=1 (c=3, two
+// matching votes decide). Senders 1 and 2 share bits 0, 2, 5 and 7. A
+// repeat from 1 adds nothing, and a malformed vector from 2 does not use
+// up 2's one counted Votes.
+TEST(Committee, VotesCountOncePerSender) {
+  dr::World world(cfg(8, 5, 0.2), BitVec(8, true));
+  for (sim::PeerId p = 0; p < 5; ++p) {
+    world.set_peer(p, std::make_unique<CommitteePeer>());
+  }
+  const auto deliver = [&](sim::PeerId from, std::size_t bits) {
+    world.peer(0).deliver(sim::Message{
+        .from = from,
+        .to = 0,
+        .payload = std::make_shared<committee::Votes>(BitVec(bits, true))});
+  };
+  const auto decided = [&](const std::string& want) {
+    const std::string status = world.peer(0).status();
+    EXPECT_NE(status.find("decided " + want + " bits"), std::string::npos)
+        << status;
+  };
+  deliver(1, 5);
+  deliver(1, 5);
+  decided("0/8");
+  deliver(2, 6);
+  decided("0/8");
+  deliver(2, 5);
+  decided("4/8");
+}
+
 TEST(Committee, AdversarialSchedulingWithLiars) {
   Scenario s;
   s.cfg = cfg(512, 9, 0.4, 4);  // t = 3, c = 7
@@ -122,9 +241,9 @@ TEST(Committee, StaggeredStarts) {
   expect_ok(s, "staggered starts");
 }
 
-// dr.peer.state must see the per-bit vote books, not just the output: every
-// honest peer holds an n x (2t+1) dedup table, two n-entry tallies and an
-// n-bit decided mask from its first vote on. The bound is modeled here from
+// dr.peer.state charges exactly the honest peers' books at the end of the
+// run: the output, the decided mask, the n tally pairs, the k-bit heard
+// mask and the assignment. The liars hold none of them. Modeled here from
 // the shape alone, independently of CommitteePeer::memory_bytes.
 TEST(Committee, PeerStateChargesVoteTables) {
   Scenario s;
@@ -135,19 +254,21 @@ TEST(Committee, PeerStateChargesVoteTables) {
   const dr::RunReport report = expect_ok(s, "vote-table accounting");
 
   const std::uint64_t n = s.cfg.n;
-  const std::uint64_t c = 2 * s.cfg.max_faulty() + 1;
+  const std::uint64_t k = s.cfg.k;
   const auto words = [](std::uint64_t bits) { return (bits + 63) / 64 * 8; };
+  using obs::modeled_alloc_bytes;
   const std::uint64_t per_peer =
-      obs::modeled_alloc_bytes(n * sizeof(std::vector<bool>)) +  // voted_ rows
-      n * obs::modeled_alloc_bytes(words(c)) +                   // row bits
-      2 * obs::modeled_alloc_bytes(n * sizeof(std::uint32_t)) +  // tallies
-      obs::modeled_alloc_bytes(words(n));                        // decided_
-  const std::uint64_t honest = s.cfg.k - s.byz_ids.size();
+      2 * modeled_alloc_bytes(words(n)) +                  // output, out_
+      modeled_alloc_bytes(words(n)) +                      // decided_
+      modeled_alloc_bytes(n * 2 * sizeof(std::uint16_t)) +  // tallies
+      modeled_alloc_bytes(words(k)) +                      // heard_
+      modeled_alloc_bytes(sizeof(CommitteeAssignment));
+  const std::uint64_t honest = k - s.byz_ids.size();
   std::uint64_t peak = 0;
   for (const obs::MemPoolStats& pool : report.mem_pools) {
     if (pool.name == "dr.peer.state") peak = pool.peak;
   }
-  EXPECT_GE(peak, honest * per_peer);
+  EXPECT_EQ(peak, honest * per_peer);
 }
 
 TEST(Committee, BetaHalfRejected) {

@@ -188,6 +188,10 @@ class SourceFile:
         self.lines = self.text.splitlines()
         self.stripped = strip_comments_and_strings(self.text)
         self.code_lines = self.stripped.split("\n")
+        # Comments blanked, string literals kept: the view for rules that
+        # read a quoted include path.
+        self.uncommented_lines = strip_comments_and_strings(
+            self.text, keep_strings=True).split("\n")
         self.disabled = set()
         for m in DISABLE_RE.finditer(self.text):
             self.disabled.update(_rule_ids(m))
@@ -226,10 +230,11 @@ def _rule_ids(marker):
     return {r.strip() for r in marker.group(1).split(",") if r.strip()}
 
 
-def strip_comments_and_strings(text):
+def strip_comments_and_strings(text, keep_strings=False):
     """Returns text of identical length/newlines with comment bodies and
     string/char literal contents blanked, so structural scanning never
-    trips on prose. Handles multi-line /* */ and basic raw strings."""
+    trips on prose. Handles multi-line /* */ and basic raw strings. With
+    `keep_strings`, literals are skipped over but left intact."""
     out = list(text)
     i, n = 0, len(text)
     while i < n:
@@ -258,25 +263,21 @@ def strip_comments_and_strings(text):
                 end = text.find(closer, i + m.end())
                 end = (end + len(closer)) if end != -1 else n
                 for j in range(i, min(end, n)):
-                    if text[j] != "\n":
+                    if text[j] != "\n" and not keep_strings:
                         out[j] = " "
                 i = end
                 continue
         if c == '"' or c == "'":
-            quote = c
-            out[i] = quote
+            quote, start = c, i + 1
             i += 1
             while i < n and text[i] != quote:
-                if text[i] == "\\":
-                    out[i] = " "
+                if text[i] == "\\" and i + 1 < n and text[i + 1] != "\n":
                     i += 1
-                    if i < n and text[i] != "\n":
-                        out[i] = " "
-                        i += 1
-                    continue
-                if text[i] != "\n":
-                    out[i] = " "
                 i += 1
+            if not keep_strings:
+                for j in range(start, min(i, n)):
+                    if text[j] != "\n":
+                        out[j] = " "
             i += 1
             continue
         i += 1
@@ -996,7 +997,7 @@ def check_include_hygiene(program):
 
     for src in program.files.values():
         here = os.path.dirname(src.abspath)
-        for lineno, raw in enumerate(src.lines, start=1):
+        for lineno, raw in enumerate(src.uncommented_lines, start=1):
             m = QUOTED_INCLUDE_RE.search(raw)
             if m and ".." in m.group(1).split("/"):
                 flag(src, lineno, f'relative include "{m.group(1)}" escapes '
@@ -1024,17 +1025,17 @@ def check_phase_coverage(program):
     runner = program.files.get("src/protocols/runner.cpp")
     if runner is None or "DR009" in runner.disabled:
         return findings
-    classes = set(re.findall(r"std::make_unique<(\w+)>", runner.text))
+    classes = set(re.findall(r"std::make_unique<(\w+)>", runner.stripped))
     impl_files = [src for src in program.files.values()
                   if src.relpath.startswith("src/protocols/")
                   and src.relpath.endswith(".cpp")
                   and not src.relpath.startswith("src/protocols/attacks")]
     for cls in sorted(classes):
         for src in impl_files:
-            if not re.search(rf"\b{cls}::on_start\b", src.text) \
-                    or "begin_phase(" in src.text:
+            if not re.search(rf"\b{cls}::on_start\b", src.stripped) \
+                    or "begin_phase(" in src.stripped:
                 continue
-            lineno = next((i for i, line in enumerate(src.lines, start=1)
+            lineno = next((i for i, line in enumerate(src.code_lines, start=1)
                            if f"{cls}::on_start" in line), 1)
             if src.suppressed(lineno, "DR009"):
                 continue
@@ -1299,7 +1300,7 @@ RULES = [
         whole_file_rule(
             "DR005",
             lambda src: src.relpath.endswith((".hpp", ".h", ".hh"))
-            and "#pragma once" not in src.text,
+            and "#pragma once" not in src.stripped,
             "header lacks '#pragma once'")),
     Rule(
         "DR006", "include-hygiene",
@@ -1317,7 +1318,7 @@ RULES = [
         whole_file_rule(
             "DR007",
             lambda src: src.relpath.startswith("src/")
-            and "namespace asyncdr" not in src.text,
+            and "namespace asyncdr" not in src.stripped,
             "src/ file declares nothing in namespace asyncdr")),
     Rule(
         "DR008", "raw-throw",

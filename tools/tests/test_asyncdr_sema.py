@@ -176,6 +176,13 @@ class DRRules(TreeCase):
         self.assertEqual(status, 1)
         self.assertIn("DR005", out)
 
+    def test_dr005_pragma_once_in_a_comment_does_not_count(self):
+        self.write("src/common/h.hpp",
+                   "// #pragma once\nnamespace asyncdr {}\n")
+        status, out = self.sema()
+        self.assertEqual(status, 1, out)
+        self.assertIn("src/common/h.hpp:1: DR005", out)
+
     def test_dr006_parent_relative_include(self):
         self.write("src/common/a.cpp",
                    '#include "../dr/world.hpp"\nnamespace asyncdr {}\n')
@@ -209,11 +216,26 @@ class DRRules(TreeCase):
         self.assertEqual(status, 1)
         self.assertIn("angle", out)
 
+    def test_dr006_ignores_includes_in_comments(self):
+        self.write("src/common/a.cpp",
+                   '// Never write #include "../dr/world.hpp"\n'
+                   '/* nor #include "no/such/file.hpp" */\n'
+                   "namespace asyncdr {}\n")
+        status, out = self.sema()
+        self.assertEqual(status, 0, out)
+
     def test_dr007_namespace(self):
         self.write("src/common/a.cpp", "int global_thing() { return 2; }\n")
         status, out = self.sema()
         self.assertEqual(status, 1)
         self.assertIn("DR007", out)
+
+    def test_dr007_namespace_in_a_comment_does_not_count(self):
+        self.write("src/common/a.cpp",
+                   "// namespace asyncdr\nint global_thing() { return 2; }\n")
+        status, out = self.sema()
+        self.assertEqual(status, 1, out)
+        self.assertIn("src/common/a.cpp:1: DR007", out)
 
     def test_dr008_raw_throw(self):
         self.write("src/common/a.cpp",
@@ -237,6 +259,24 @@ class DRRules(TreeCase):
         self.assertEqual(status, 1)
         self.assertIn("DR009", out)
         self.assertIn("FooPeer", out)
+
+    def test_dr009_begin_phase_in_a_comment_does_not_count(self):
+        self.write("src/protocols/runner.cpp", RUNNER_WITH_FOO)
+        self.write("src/protocols/foo.cpp",
+                   "namespace asyncdr {\n"
+                   "// TODO: begin_phase(\"query\") here\n"
+                   "void FooPeer::on_start() { query(0); }\n}\n")
+        status, out = self.sema()
+        self.assertEqual(status, 1, out)
+        self.assertIn("src/protocols/foo.cpp:3: DR009", out)
+
+    def test_dr009_commented_out_factory_registers_no_peer(self):
+        self.write("src/protocols/runner.cpp",
+                   "namespace asyncdr {\n"
+                   "// auto f = std::make_unique<FooPeer>();\n}\n")
+        self.write("src/protocols/foo.cpp", FOO_WITHOUT_PHASE)
+        status, out = self.sema()
+        self.assertEqual(status, 0, out)
 
     def test_dr009_survives_a_path_restricted_run(self):
         # The rule needs runner.cpp to know FooPeer is registered; naming
