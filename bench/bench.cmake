@@ -1,6 +1,7 @@
 # Included from the top-level CMakeLists so that ${CMAKE_BINARY_DIR}/bench
-# contains ONLY the benchmark executables (the canonical run loop is
-# `for b in build/bench/*; do $b; done`).
+# holds exactly two executables: asyncdr_bench, the paper-experiment driver
+# (`./build/bench/asyncdr_bench` runs every experiment; pass ids to pick),
+# and bench_micro, the google-benchmark substrate harness.
 find_package(benchmark REQUIRED)
 
 function(asyncdr_bench name)
@@ -13,18 +14,8 @@ function(asyncdr_bench name)
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()
 
-asyncdr_bench(bench_table1 bench/bench_table1.cpp)
-asyncdr_bench(bench_crash bench/bench_crash.cpp)
-asyncdr_bench(bench_committee bench/bench_committee.cpp)
-asyncdr_bench(bench_randomized bench/bench_randomized.cpp)
-asyncdr_bench(bench_lowerbound bench/bench_lowerbound.cpp)
-asyncdr_bench(bench_qc_vs_n bench/bench_qc_vs_n.cpp)
-asyncdr_bench(bench_qc_vs_beta bench/bench_qc_vs_beta.cpp)
-asyncdr_bench(bench_decision_tree bench/bench_decision_tree.cpp)
-asyncdr_bench(bench_oracle bench/bench_oracle.cpp)
-asyncdr_bench(bench_sync_vs_async bench/bench_sync_vs_async.cpp)
-asyncdr_bench(bench_scale bench/bench_scale.cpp)
-asyncdr_bench(bench_recovery bench/bench_recovery.cpp)
+asyncdr_bench(asyncdr_bench bench/driver.cpp bench/exp_crash.cpp
+  bench/exp_byzantine.cpp bench/exp_landscape.cpp)
 
 asyncdr_bench(bench_micro bench/bench_micro.cpp)
 target_link_libraries(bench_micro PRIVATE benchmark::benchmark)

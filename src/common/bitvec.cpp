@@ -21,11 +21,6 @@ BitVec BitVec::from_string(const std::string& bits) {
   return v;
 }
 
-bool BitVec::get(std::size_t i) const {
-  ASYNCDR_EXPECTS(i < size_);
-  return (words_[i / kWordBits] >> (i % kWordBits)) & 1u;
-}
-
 void BitVec::set(std::size_t i, bool value) {
   ASYNCDR_EXPECTS(i < size_);
   const std::uint64_t mask = std::uint64_t{1} << (i % kWordBits);

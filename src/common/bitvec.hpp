@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
+
 namespace asyncdr {
 
 /// A dynamically sized, densely packed vector of bits.
@@ -36,7 +38,12 @@ class BitVec {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  [[nodiscard]] bool get(std::size_t i) const;
+  /// Defined inline: every per-bit read in the protocol kernels (committee
+  /// tallies, decision-tree walks) goes through here.
+  [[nodiscard]] bool get(std::size_t i) const {
+    ASYNCDR_EXPECTS(i < size_);
+    return (words_[i / kWordBits] >> (i % kWordBits)) & 1u;
+  }
   void set(std::size_t i, bool value);
   void flip(std::size_t i);
   /// Complements every bit, a word at a time.
